@@ -5,6 +5,11 @@ its own backward pass, including the noise operators (replaying the
 realization drawn in the forward pass) and train-mode batch normalization
 (differentiating through the batch statistics), so analytic gradients can
 be checked against finite differences to tight tolerances.
+
+The eval pass keeps no caches and does only the arithmetic the logits
+need: ReLU and batch normalization write their results into the arrays
+they receive, which are always arrays the network allocated itself, never
+the caller's input.
 """
 
 from __future__ import annotations
@@ -86,7 +91,9 @@ class _Dense:
         return {f"{self.name}.w": self.w, f"{self.name}.b": self.b}
 
     def forward(self, x, mode, rng, update_stats, reuse):
-        return x @ self.w.T + self.b, {"x": x}
+        h = x @ self.w.T
+        h += self.b
+        return h, ({"x": x} if mode == "train" else {})
 
     def backward(self, g, cache):
         grads = {f"{self.name}.w": g.T @ cache["x"], f"{self.name}.b": g.sum(axis=0)}
@@ -101,6 +108,8 @@ class _Relu:
         return {}
 
     def forward(self, x, mode, rng, update_stats, reuse):
+        if mode == "eval":
+            return np.maximum(x, 0.0, out=x), {}
         # the kink margin lets gradient checks confirm no preactivation sits
         # within a finite-difference step of the nondifferentiable point
         return np.maximum(x, 0.0), {"mask": x > 0.0, "kink_margin": float(np.abs(x).min())}
@@ -120,8 +129,14 @@ class _BatchNorm:
     def forward(self, x, mode, rng, update_stats, reuse):
         st = self.state
         if mode == "eval":
-            xhat = (x - st.running_mean) / np.sqrt(st.running_var + st.eps)
-            return st.gamma * xhat + st.beta, {}
+            if st.n_batches == 0:
+                raise ValueError("running statistics are unpopulated; run training batches first")
+            # gamma * ((x - mean) / sqrt(var + eps)) + beta, in that order
+            x -= st.running_mean
+            x /= np.sqrt(st.running_var + st.eps)
+            x *= st.gamma
+            x += st.beta
+            return x, {}
         b = x.shape[0]
         if b < 2:
             raise ValueError("batch normalization needs a batch of at least 2")
@@ -201,6 +216,13 @@ class Network:
         ``reuse`` replays the noise realizations of a previous train-mode
         cache, so finite-difference probes see a fixed stochastic map.
         ``update_stats`` defaults to True in train mode.
+
+        In eval mode ReLU and batch-norm layers overwrite their input.  That
+        is safe in every stack ``build_network`` makes: their input is always
+        the output of a dense or batch-norm layer, possibly passed unchanged
+        through an eval-mode noise layer, so an array the network allocated.
+        Only a leading noise layer sees the caller's ``x``, and it hands it
+        to a dense layer, which does not write in place.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
@@ -318,7 +340,10 @@ def train(
     y_val=None,
     record_every: int = 0,
 ):
-    """SGD with momentum on softmax cross-entropy; single-threaded, seeded.
+    """SGD with momentum on softmax cross-entropy; seeded.
+
+    The matrix products run on numpy's BLAS thread pool, so the thread
+    count follows the BLAS settings (e.g. ``OPENBLAS_NUM_THREADS``).
 
     Weight decay is applied to dense weight matrices only.  Returns a list
     of (epoch, train_acc, val_acc) rows; by default only the final epoch is

@@ -11,6 +11,7 @@ from rotnoise import (
     train,
     train_and_report,
 )
+from rotnoise.network import _BatchNorm, _Dense, _Noise, _Relu
 
 
 def loss_at(model, x, y, cache):
@@ -116,6 +117,65 @@ def test_width_mismatch_rejected():
     model = small_model()
     with pytest.raises(ValueError, match="shape"):
         model.forward(np.ones((4, 7)), mode="eval")
+
+
+def reference_eval(model, x):
+    """The eval pass written out of place, one fresh array per operation."""
+    h = np.asarray(x, dtype=np.float64)
+    for layer in model.layers:
+        if isinstance(layer, _Dense):
+            h = h @ layer.w.T + layer.b
+        elif isinstance(layer, _BatchNorm):
+            st = layer.state
+            xhat = (h - st.running_mean) / np.sqrt(st.running_var + st.eps)
+            h = st.gamma * xhat + st.beta
+        elif isinstance(layer, _Relu):
+            h = np.maximum(h, 0.0)
+        else:
+            assert isinstance(layer, _Noise)
+    return h
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(noise=ROTATION),  # the noise op is the first layer and sees x
+        dict(noise=ROTATION, placement="after-weight", batchnorm=True),
+        dict(noise=ROTATION, activation="none", batchnorm=True),
+    ],
+    ids=["rotation-first", "after-weight-bn", "linear-bn"],
+)
+def test_eval_matches_reference_and_leaves_input_alone(kwargs):
+    model = small_model(**kwargs)
+    rng = np.random.default_rng(15)
+    for _ in range(3):  # move the running statistics off their initial values
+        model.forward(rng.standard_normal((6, 5)), mode="train", rng=rng)
+    x = rng.standard_normal((6, 5))
+    x_before = x.copy()
+    expected = reference_eval(model, x)
+    logits, cache = model.forward(x, mode="eval")
+    np.testing.assert_array_equal(logits, expected)
+    np.testing.assert_array_equal(x, x_before)
+    for layer_cache in cache.layer_caches:
+        assert not any(isinstance(v, np.ndarray) for v in layer_cache.values())
+
+
+def test_batchnorm_eval_before_training_rejected():
+    model = small_model(batchnorm=True)
+    x, _ = small_batch()
+    with pytest.raises(ValueError, match="unpopulated"):
+        model.forward(x, mode="eval")
+
+
+def test_train_cache_carries_kink_margins():
+    # criterion 09 skips its kink guard when no margins are found, so a
+    # train cache without them would let that guard pass vacuously
+    model = small_model()
+    x, _ = small_batch()
+    _, cache = model.forward(x, mode="train", rng=np.random.default_rng(16))
+    margins = [c["kink_margin"] for c in cache.layer_caches if "kink_margin" in c]
+    assert len(margins) == 2  # one per relu layer
+    assert all(isinstance(m, float) and m >= 0.0 for m in margins)
 
 
 def test_noisy_train_forward_averages_to_eval_for_linear_model():
