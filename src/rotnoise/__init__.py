@@ -82,6 +82,7 @@ from .batchnorm import (
     ShiftReport,
     bn_test_forward,
     bn_train_forward,
+    cross_normalization_curve,
     cross_normalize,
     default_poly_grid,
     evaluate_odd_poly,

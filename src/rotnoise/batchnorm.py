@@ -25,6 +25,7 @@ __all__ = [
     "train_statistic_samples",
     "NonlinearityCurve",
     "mc_nonlinearity_curve",
+    "cross_normalization_curve",
     "PolyFit",
     "fit_poly_correction",
     "evaluate_odd_poly",
@@ -203,34 +204,65 @@ def standardized_sampler(dist: str):
 # nonlinearity of the train-mode statistic
 
 
+# companion rows drawn at once by mc_nonlinearity_curve
+_CURVE_BLOCK = 100_000
+# companion values drawn at once by noise_budget
+_BUDGET_ELEMENTS = 2**17
+# batches drawn at once by cross_normalization_curve
+_CN_CHUNK = 5000
+
+
+def _check_batch_size(batch_size: int) -> None:
+    if batch_size < 2:
+        raise ValueError("batch size must be at least 2")
+
+
+def _check_budget(name: str, value: int) -> None:
+    # one draw gives no sample variance: its estimate would be NaN
+    if value < 2:
+        raise ValueError(f"Monte-Carlo budget {name} must be at least 2, got {value}")
+
+
+def _companion_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and 1/n variance of companion draws along the last axis."""
+    m = z.mean(axis=-1)
+    s2 = np.mean((z - m[..., None]) ** 2, axis=-1)
+    return m, s2
+
+
+def _normalized_value(x, m, s2, batch_size: int):
+    """Train-mode normalized value of ``x`` from its companions' moments.
+
+    The exact identity
+
+        (x - mu_B) / sigma_B
+          = sqrt((B-1)/B) * (x - m) / sqrt(s^2 + (x - m)^2 / B)
+
+    where m and s^2 are the mean and 1/n variance of the B - 1 companions.
+    """
+    b = batch_size
+    delta = x - m
+    return np.sqrt((b - 1.0) / b) * delta / np.sqrt(s2 + delta**2 / b)
+
+
 def train_statistic_samples(
     x: float, batch_size: int, n: int, draw, rng: np.random.Generator
 ) -> np.ndarray:
     """Draws of the train-mode normalized value of a held point ``x``.
 
-    The batchmates are sampled fresh; the statistic is evaluated through
-    the exact identity
-
-        (x - mu_B) / sigma_B
-          = sqrt((B-1)/B) * (x - m) / sqrt(s^2 + (x - m)^2 / B)
-
-    where m and s^2 are the mean and variance of the B - 1 companions.
+    The B - 1 batchmates are sampled fresh for each draw and the statistic
+    is evaluated through the leave-one-out identity of ``_normalized_value``.
     On the standardized scale the test-mode output of ``x`` is ``x``
     itself, so these draws are directly comparable to the abscissa.
     """
-    b = batch_size
-    if b < 2:
-        raise ValueError("batch size must be at least 2")
-    z = draw((n, b - 1), rng)
-    m = z.mean(axis=1)
-    s2 = np.mean((z - m[:, None]) ** 2, axis=1)
-    delta = x - m
-    return np.sqrt((b - 1.0) / b) * delta / np.sqrt(s2 + delta**2 / b)
+    _check_batch_size(batch_size)
+    m, s2 = _companion_moments(draw((n, batch_size - 1), rng))
+    return _normalized_value(x, m, s2, batch_size)
 
 
 @dataclass(frozen=True)
 class NonlinearityCurve:
-    """Conditional mean/variance of the train statistic on a test grid."""
+    """Conditional mean/variance of a normalized value on a test grid."""
 
     dist: str
     batch_size: int
@@ -252,18 +284,79 @@ def mc_nonlinearity_curve(
     grid=None,
     n_mc: int = 100_000,
 ) -> NonlinearityCurve:
-    """Estimate the expectation and variance curves of the train statistic."""
+    """Estimate the expectation and variance curves of the train statistic.
+
+    The companions' mean and variance do not depend on the held point, so
+    every grid point is evaluated against the same ``n_mc`` companion
+    draws (common random numbers), drawn in blocks whose per-point means
+    and sums of squared deviations are merged exactly.  ``f_var`` and
+    ``stderr`` are per point and marginal: each point's estimate is
+    unbiased with that standard error, but the errors of different grid
+    points are correlated, so their stderrs do not combine as if the
+    points were independent.  The random draws do not depend on the grid.
+    """
     draw = standardized_sampler(dist)
+    _check_batch_size(batch_size)
+    _check_budget("n_mc", n_mc)
     grid = default_poly_grid() if grid is None else np.asarray(grid, dtype=np.float64)
-    f_expect = np.empty_like(grid)
+    mean = np.zeros_like(grid)
+    sq_dev = np.zeros_like(grid)  # sums of squared deviations from the mean
+    done = 0
+    while done < n_mc:
+        rows = min(_CURVE_BLOCK, n_mc - done)
+        m, s2 = _companion_moments(draw((rows, batch_size - 1), rng))
+        block_mean = np.empty_like(grid)
+        block_sq_dev = np.empty_like(grid)
+        for k, x in enumerate(grid):
+            f = _normalized_value(float(x), m, s2, batch_size)
+            block_mean[k] = f.mean()
+            block_sq_dev[k] = np.sum((f - block_mean[k]) ** 2)
+        # pairwise merge of (count, mean, sum of squared deviations),
+        # Chan, Golub & LeVeque
+        total = done + rows
+        delta = block_mean - mean
+        mean += delta * (rows / total)
+        sq_dev += block_sq_dev + delta**2 * (done * rows / total)
+        done = total
+    f_var = sq_dev / (n_mc - 1)
+    return NonlinearityCurve(dist, batch_size, grid, mean, f_var, np.sqrt(f_var) / np.sqrt(n_mc))
+
+
+def cross_normalization_curve(
+    batch_size: int,
+    rng: np.random.Generator,
+    grid,
+    n_mc: int,
+    normalizer: str = "b-1",
+) -> NonlinearityCurve:
+    """Mean output of a cross-normalized element held at each grid value.
+
+    For each grid value, ``n_mc`` gaussian batches (drawn as
+    ``(batch_size, 5000)`` chunks) have their first element replaced by
+    the value and pass through ``cross_normalize`` with unit gain and no
+    eps.  The held element's leave-one-out statistics do not depend on
+    it, so the mean output is exactly affine in the grid value.  Grid
+    points use independent draws.
+    """
+    _check_budget("n_mc", n_mc)
+    draw = standardized_sampler("gaussian")
+    grid = np.asarray(grid, dtype=np.float64)
+    gamma = np.ones(1)
+    beta = np.zeros(1)
+    means = np.empty_like(grid)
     f_var = np.empty_like(grid)
-    stderr = np.empty_like(grid)
-    for k, x in enumerate(grid):
-        f = train_statistic_samples(float(x), batch_size, n_mc, draw, rng)
-        f_expect[k] = f.mean()
-        f_var[k] = f.var(ddof=1)
-        stderr[k] = f.std(ddof=1) / np.sqrt(n_mc)
-    return NonlinearityCurve(dist, batch_size, grid, f_expect, f_var, stderr)
+    for k, x1 in enumerate(grid):
+        outs = np.empty(n_mc)
+        for done in range(0, n_mc, _CN_CHUNK):
+            m = min(_CN_CHUNK, n_mc - done)
+            batch = draw((batch_size, m), rng)
+            batch[0, :] = x1
+            out = cross_normalize(batch, gamma, beta, eps=0.0, normalizer=normalizer)
+            outs[done : done + m] = out[0]
+        means[k] = outs.mean()
+        f_var[k] = outs.var(ddof=1)
+    stderr = np.sqrt(f_var) / np.sqrt(n_mc)
+    return NonlinearityCurve("gaussian", batch_size, grid, means, f_var, stderr)
 
 
 @dataclass(frozen=True)
@@ -319,13 +412,23 @@ def noise_budget(
     Nested Monte Carlo: outer draws follow the source distribution, inner
     draws estimate the conditional variance of the normalized value with an
     unbiased sample variance.  Returns (estimate, standard error).
+
+    The inner companions of a block of outer points come from one
+    ``(k, n_inner, B - 1)`` draw, which takes the same random stream as
+    one draw per point, so the result for a given generator state does
+    not depend on the block size.
     """
     draw = standardized_sampler(dist)
+    _check_batch_size(batch_size)
+    _check_budget("n_outer", n_outer)
+    _check_budget("n_inner", n_inner)
     xs = draw(n_outer, rng)
     v = np.empty(n_outer)
-    for k, x in enumerate(xs):
-        f = train_statistic_samples(float(x), batch_size, n_inner, draw, rng)
-        v[k] = f.var(ddof=1)
+    step = max(1, _BUDGET_ELEMENTS // (n_inner * (batch_size - 1)))
+    for start in range(0, n_outer, step):
+        x = xs[start : start + step, None]
+        m, s2 = _companion_moments(draw((x.shape[0], n_inner, batch_size - 1), rng))
+        v[start : start + step] = _normalized_value(x, m, s2, batch_size).var(axis=-1, ddof=1)
     return float(v.mean()), float(v.std(ddof=1) / np.sqrt(n_outer))
 
 

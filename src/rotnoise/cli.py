@@ -25,13 +25,15 @@ import numpy as np
 
 from . import __version__
 from .batchnorm import (
-    cross_normalize,
+    cross_normalization_curve,
     fit_poly_correction,
     mc_nonlinearity_curve,
     noise_budget,
-    standardized_sampler,
     variance_shift,
 )
+# unused here since cn-check calls cross_normalization_curve; kept because
+# perfbench's tracer self-test checks cli.cross_normalize as a binding site
+from .batchnorm import cross_normalize  # noqa: F401
 from .coadapt import verify_reduction
 from .linreg import (
     RegressionProblem,
@@ -416,32 +418,15 @@ def _run_cn_check(merged: dict, outdir: Path, rng: np.random.Generator):
     b = merged["batch"]
     if b < 3:
         raise ConfigError("config key 'batch' must be at least 3 for cross-normalization")
-    draw = standardized_sampler("gaussian")
     grid = np.linspace(-merged["grid_max"], merged["grid_max"], merged["points"])
-    n = int(merged["samples"])
-    gamma = np.ones(1)
-    beta = np.zeros(1)
-    means = np.empty_like(grid)
-    errs = np.empty_like(grid)
-    for k, x1 in enumerate(grid):
-        outs = np.empty(n)
-        chunk = 5000
-        done = 0
-        while done < n:
-            m = min(chunk, n - done)
-            batch = draw((b, m), rng)
-            batch[0, :] = x1
-            out = cross_normalize(batch, gamma, beta, eps=0.0, normalizer=merged["normalizer"])
-            outs[done : done + m] = out[0]
-            done += m
-        means[k] = outs.mean()
-        errs[k] = outs.std(ddof=1) / np.sqrt(n)
+    curve = cross_normalization_curve(b, rng, grid, int(merged["samples"]), merged["normalizer"])
+    means = curve.f_expect
     design = np.stack([grid, np.ones_like(grid)], axis=1)
     coef, *_ = np.linalg.lstsq(design, means, rcond=None)
     resid = means - design @ coef
     rows = [
         (float(x1), float(m), float(e), float(r))
-        for x1, m, e, r in zip(grid, means, errs, resid)
+        for x1, m, e, r in zip(grid, means, curve.stderr, resid)
     ]
     _write_csv(outdir / "cn_linearity.csv",
                ["x1", "mean_output", "stderr", "fit_residual"], rows)

@@ -7,6 +7,7 @@ from rotnoise import (
     ReluGaussianSource,
     bn_test_forward,
     bn_train_forward,
+    cross_normalization_curve,
     cross_normalize,
     equicorrelated,
     evaluate_odd_poly,
@@ -19,7 +20,7 @@ from rotnoise import (
     train_statistic_samples,
     variance_shift,
 )
-from rotnoise.batchnorm import DISTRIBUTIONS, NonlinearityCurve
+from rotnoise.batchnorm import _CURVE_BLOCK, DISTRIBUTIONS, NonlinearityCurve
 
 
 ALL_DISTS = list(DISTRIBUTIONS)
@@ -227,6 +228,45 @@ def test_unknown_distribution_rejected():
         mc_nonlinearity_curve("cauchy", 8, rng, n_mc=10)
 
 
+@pytest.mark.parametrize("dist, b", [("gaussian", 8), ("laplace", 3)])
+def test_curve_blocks_match_one_shot_reference(dist, b):
+    # more than two blocks, the last one partial, merged against one draw
+    n_mc = 2 * _CURVE_BLOCK + 12_345
+    grid = np.array([-2.7, -0.4, 0.0, 1.3])
+    curve = mc_nonlinearity_curve(dist, b, np.random.default_rng(30), grid=grid, n_mc=n_mc)
+    z = standardized_sampler(dist)((n_mc, b - 1), np.random.default_rng(30))
+    m = z.mean(axis=1)
+    s2 = np.mean((z - m[:, None]) ** 2, axis=1)
+    for k, x in enumerate(grid):
+        f = np.sqrt((b - 1) / b) * (x - m) / np.sqrt(s2 + (x - m) ** 2 / b)
+        np.testing.assert_allclose(curve.f_expect[k], f.mean(), rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(curve.f_var[k], f.var(ddof=1), rtol=1e-12)
+        np.testing.assert_allclose(curve.stderr[k], f.std(ddof=1) / np.sqrt(n_mc), rtol=1e-12)
+
+
+def test_curve_random_draws_do_not_depend_on_the_grid():
+    states = []
+    for grid in (np.array([0.5]), None):
+        rng = np.random.default_rng(31)
+        mc_nonlinearity_curve("gaussian", 8, rng, grid=grid, n_mc=5_000)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize(
+    "call, budget",
+    [
+        (lambda rng: mc_nonlinearity_curve("gaussian", 8, rng, n_mc=1), "n_mc"),
+        (lambda rng: noise_budget(8, "gaussian", rng, n_outer=10, n_inner=1), "n_inner"),
+        (lambda rng: noise_budget(8, "gaussian", rng, n_outer=1, n_inner=10), "n_outer"),
+        (lambda rng: cross_normalization_curve(8, rng, np.zeros(3), n_mc=1), "n_mc"),
+    ],
+)
+def test_degenerate_monte_carlo_budget_is_rejected(call, budget):
+    with pytest.raises(ValueError, match=budget):
+        call(np.random.default_rng(32))
+
+
 # ---------------------------------------------------------------------------
 # polynomial correction
 
@@ -335,6 +375,26 @@ def test_cross_normalize_rejects_unknown_normalizer():
         cross_normalize(np.ones((4, 1)), np.ones(1), np.zeros(1), normalizer="b+1")
 
 
+@pytest.mark.parametrize("normalizer", ["b-1", "b"])
+def test_cross_normalization_curve_matches_chunked_loop(normalizer):
+    # the per-point loop over (B, 5000) chunks, as cn-check has always run it
+    grid = np.linspace(-2.0, 2.0, 3)
+    n, b = 12_345, 6
+    curve = cross_normalization_curve(b, np.random.default_rng(33), grid, n, normalizer)
+    rng = np.random.default_rng(33)
+    for k, x1 in enumerate(grid):
+        outs = np.empty(n)
+        for done in range(0, n, 5000):
+            m = min(5000, n - done)
+            batch = rng.standard_normal((b, m))
+            batch[0, :] = x1
+            outs[done : done + m] = cross_normalize(
+                batch, np.ones(1), np.zeros(1), eps=0.0, normalizer=normalizer
+            )[0]
+        np.testing.assert_array_equal(curve.f_expect[k], outs.mean())
+        np.testing.assert_array_equal(curve.stderr[k], outs.std(ddof=1) / np.sqrt(n))
+
+
 # ---------------------------------------------------------------------------
 # noise budget
 
@@ -346,6 +406,25 @@ def test_noise_budget_bounds_light():
     value16, err16 = noise_budget(16, "gaussian", rng, n_outer=600, n_inner=600)
     assert value16 + 3 * err16 < 0.1
     assert value16 < value8
+
+
+@pytest.mark.parametrize(
+    "b, dist, n_outer, n_inner",
+    [(8, "gaussian", 150, 300), (3, "laplace", 3_000, 50), (16, "uniform-cube", 5_000, 2)],
+)
+def test_noise_budget_equals_per_point_reference(b, dist, n_outer, n_inner):
+    # several blocks of outer points each, the last one partial
+    rng = np.random.default_rng(34)
+    value, err = noise_budget(b, dist, rng, n_outer=n_outer, n_inner=n_inner)
+    ref_rng = np.random.default_rng(34)
+    draw = standardized_sampler(dist)
+    xs = draw(n_outer, ref_rng)
+    v = np.array([
+        train_statistic_samples(float(x), b, n_inner, draw, ref_rng).var(ddof=1) for x in xs
+    ])
+    np.testing.assert_array_equal(value, float(v.mean()))
+    np.testing.assert_array_equal(err, float(v.std(ddof=1) / np.sqrt(n_outer)))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

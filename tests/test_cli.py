@@ -166,6 +166,23 @@ def test_noise_budget_run(tmp_path):
     assert 0.1 < float(rows[0][4]) < 0.25
 
 
+@pytest.mark.parametrize(
+    "argv, csv_name",
+    [
+        (["bn-curve", "--samples", "1"], "bn_curve.csv"),
+        (["bn-poly", "--samples", "1"], "bn_poly.csv"),
+        (["noise-budget", "--inner", "1"], "noise_budget.csv"),
+        (["noise-budget", "--outer", "1"], "noise_budget.csv"),
+        (["cn-check", "--samples", "1"], "cn_linearity.csv"),
+    ],
+)
+def test_degenerate_monte_carlo_budget_exits_2(tmp_path, capsys, argv, csv_name):
+    code = run([*argv, "--out", str(tmp_path)])
+    assert code == 2
+    assert "must be at least 2" in capsys.readouterr().err
+    assert not (tmp_path / csv_name).exists()
+
+
 def test_train_demo_run(tmp_path):
     code = run([
         "train-demo", "--epochs", "1", "--seeds", "1", "--width", "8",
