@@ -14,8 +14,6 @@ from .rotation import (
     BatchRotation,
     Pairing,
     RotationRealization,
-    RotationSampler,
-    apply_centered,
     apply_featuremap,
     apply_rotation,
     apply_rotation_transpose,
@@ -40,11 +38,7 @@ from .noise_ops import (
     RotationOut,
     Uout,
     apply_spec,
-    bernoulli_dropout,
-    centered,
-    gaussian_dropout,
     make_noise_op,
-    uout,
 )
 from .sources import (
     GaussianSource,

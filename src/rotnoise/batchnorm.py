@@ -58,8 +58,8 @@ class BatchNormState:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if np.any(self.running_var < 0):
             raise ValueError("running variance must be nonnegative")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
         if not 0.0 < self.momentum <= 1.0:
             raise ValueError("momentum must lie in (0, 1]")
 
@@ -75,40 +75,25 @@ class BatchNormState:
         )
 
 
-def bn_train_forward(x, state: BatchNormState, update: bool = True) -> np.ndarray:
-    """Normalize a (B, D) batch with its own statistics.
-
-    The batch variance uses the 1/B normalizer; the running variance is
-    updated with the B/(B-1) debiased value through an exponential moving
-    average of the configured momentum.
-    """
-    x = np.asarray(x, dtype=np.float64)
+def _train_normalize(x: np.ndarray, state: BatchNormState, update: bool):
+    """``bn_train_forward`` returning (out, xhat, inv_std) for a backward pass."""
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("batch normalization needs a batch of at least 2")
     b = x.shape[0]
     mu = x.mean(axis=0)
     var = np.mean((x - mu) ** 2, axis=0)
-    out = state.gamma * (x - mu) / np.sqrt(var + state.eps) + state.beta
+    inv_std = 1.0 / np.sqrt(var + state.eps)
+    xhat = (x - mu) * inv_std
     if update:
         m = state.momentum
         state.running_mean = (1 - m) * state.running_mean + m * mu
         state.running_var = (1 - m) * state.running_var + m * var * b / (b - 1)
         state.n_batches += 1
-    return out
+    return state.gamma * xhat + state.beta, xhat, inv_std
 
 
-def bn_test_forward(x, state: BatchNormState, correction=None) -> np.ndarray:
-    """Normalize with running statistics; optionally correct the output.
-
-    correction
-        ``None``                    : plain affine normalization.
-        ``("scale-variance", p)``   : divide the running variance by 1/p,
-        undoing the fixed 1/p variance shift of centered pre-norm noise.
-        ``("poly", coeffs)``        : map the normalized value through the
-        odd polynomial before applying gamma/beta, compensating the bent
-        small-batch expectation curve.
-    """
-    x = np.asarray(x, dtype=np.float64)
+def _eval_normalize(x: np.ndarray, state: BatchNormState, correction=None, out=None):
+    """``bn_test_forward`` writing into ``out`` when given (``out=x``: in place)."""
     if state.n_batches == 0:
         raise ValueError("running statistics are unpopulated; run training batches first")
     var = state.running_var
@@ -121,10 +106,39 @@ def bn_test_forward(x, state: BatchNormState, correction=None) -> np.ndarray:
             var = var * keep_rate
         elif tag != "poly":
             raise ValueError(f"unknown test-mode correction: {tag!r}")
-    xhat = (x - state.running_mean) / np.sqrt(var + state.eps)
+    xhat = np.subtract(x, state.running_mean, out=out)
+    xhat /= np.sqrt(var + state.eps)
     if correction is not None and correction[0] == "poly":
         xhat = evaluate_odd_poly(np.asarray(correction[1], dtype=np.float64), xhat)
-    return state.gamma * xhat + state.beta
+    xhat *= state.gamma
+    xhat += state.beta
+    return xhat
+
+
+def bn_train_forward(x, state: BatchNormState, update: bool = True) -> np.ndarray:
+    """Normalize a (B, D) batch with its own statistics.
+
+    The batch variance uses the 1/B normalizer; the running variance is
+    updated with the B/(B-1) debiased value through an exponential moving
+    average of the configured momentum.
+    """
+    return _train_normalize(np.asarray(x, dtype=np.float64), state, update)[0]
+
+
+def bn_test_forward(x, state: BatchNormState, correction=None) -> np.ndarray:
+    """Normalize with running statistics; optionally correct the output.
+
+    correction
+        ``None``                    : plain affine normalization.
+        ``("scale-variance", p)``   : divide the running variance by 1/p,
+        undoing the fixed 1/p variance shift of centered pre-norm noise.
+        ``("poly", coeffs)``        : map the normalized value through the
+        odd polynomial before applying gamma/beta, compensating the bent
+        small-batch expectation curve.
+
+    The input is never written to.
+    """
+    return _eval_normalize(np.asarray(x, dtype=np.float64), state, correction)
 
 
 def cross_normalize(x, gamma, beta, eps: float = 1e-5, normalizer: str = "b-1") -> np.ndarray:

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .batchnorm import (
     cross_normalization_curve,
+    evaluate_odd_poly,
     fit_poly_correction,
     mc_nonlinearity_curve,
     noise_budget,
@@ -175,10 +176,14 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
+def _schema(command: str) -> dict:
+    """Parameters of ``command``: its own, then the global ones."""
+    return {**_SCHEMAS[command], **_GLOBAL}
+
+
 def merge_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
     """Validate keys against the schema and let flags override file values."""
-    schema = dict(_SCHEMAS[command])
-    schema.update(_GLOBAL)
+    schema = _schema(command)
     merged = {}
     for key, (conv, default, _help) in schema.items():
         merged[key] = default
@@ -409,8 +414,7 @@ def _run_bn_poly(merged: dict, outdir: Path, rng: np.random.Generator):
                [(merged["batch"], fit.a1, fit.a3, fit.a5, fit.a7, fit.rmse)])
     _maybe_plot(merged, outdir, "bn_poly", curve.x_test,
                 {"f_expect": curve.f_expect,
-                 "poly fit": np.stack([curve.x_test, curve.x_test**3,
-                                       curve.x_test**5, curve.x_test**7], axis=1) @ fit.coeffs},
+                 "poly fit": evaluate_odd_poly(fit.coeffs, curve.x_test)},
                 "test-mode value")
 
 
@@ -486,12 +490,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="rotnoise", description="rotation-noise and dropout numerics experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, schema in _SCHEMAS.items():
+    for command in _SCHEMAS:
         sp = sub.add_parser(command)
         sp.add_argument("--config", default=None, help="JSON config file")
-        full = dict(schema)
-        full.update(_GLOBAL)
-        for key, (conv, default, help_text) in full.items():
+        for key, (conv, default, help_text) in _schema(command).items():
             flag = "--" + key.replace("_", "-")
             if conv is _bool:
                 sp.add_argument(flag, default=None, type=_bool, nargs="?", const=True,
@@ -507,9 +509,7 @@ def run(argv=None) -> int:
     command = args.command
     try:
         file_cfg = load_config(args.config) if args.config else {}
-        schema = dict(_SCHEMAS[command])
-        schema.update(_GLOBAL)
-        flag_cfg = {key: getattr(args, key.replace("-", "_")) for key in schema}
+        flag_cfg = {key: getattr(args, key.replace("-", "_")) for key in _schema(command)}
         merged = merge_config(command, file_cfg, flag_cfg)
         outdir = _resolve_outdir(merged)
         rng = np.random.default_rng(merged["seed"])

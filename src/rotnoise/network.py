@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .batchnorm import BatchNormState
+from .batchnorm import BatchNormState, _eval_normalize, _train_normalize
 from .noise_ops import NoiseOpSpec, make_noise_op
 
 __all__ = [
@@ -127,29 +127,10 @@ class _BatchNorm:
         return {f"{self.name}.gamma": self.state.gamma, f"{self.name}.beta": self.state.beta}
 
     def forward(self, x, mode, rng, update_stats, reuse):
-        st = self.state
         if mode == "eval":
-            if st.n_batches == 0:
-                raise ValueError("running statistics are unpopulated; run training batches first")
-            # gamma * ((x - mean) / sqrt(var + eps)) + beta, in that order
-            x -= st.running_mean
-            x /= np.sqrt(st.running_var + st.eps)
-            x *= st.gamma
-            x += st.beta
-            return x, {}
-        b = x.shape[0]
-        if b < 2:
-            raise ValueError("batch normalization needs a batch of at least 2")
-        mu = x.mean(axis=0)
-        var = np.mean((x - mu) ** 2, axis=0)
-        inv_std = 1.0 / np.sqrt(var + st.eps)
-        xhat = (x - mu) * inv_std
-        if update_stats:
-            m = st.momentum
-            st.running_mean = (1 - m) * st.running_mean + m * mu
-            st.running_var = (1 - m) * st.running_var + m * var * b / (b - 1)
-            st.n_batches += 1
-        return st.gamma * xhat + st.beta, {"xhat": xhat, "inv_std": inv_std}
+            return _eval_normalize(x, self.state, out=x), {}
+        out, xhat, inv_std = _train_normalize(x, self.state, update_stats)
+        return out, {"xhat": xhat, "inv_std": inv_std}
 
     def backward(self, g, cache):
         xhat, inv_std = cache["xhat"], cache["inv_std"]
@@ -233,14 +214,11 @@ class Network:
             raise ValueError("train mode needs a generator (or a cache to replay)")
         if update_stats is None:
             update_stats = mode == "train" and reuse is None
-        states = reuse.layer_caches if reuse is not None else None
+        replays = reuse.noise_states() if reuse is not None else [None] * len(self.layers)
         self._token += 1
         cache = _Cache(token=self._token, mode=mode)
         h = x
-        for k, layer in enumerate(self.layers):
-            replay = None
-            if states is not None and isinstance(layer, _Noise):
-                replay = states[k].get("state") if states[k] else None
+        for layer, replay in zip(self.layers, replays, strict=True):
             h, c = layer.forward(h, mode, rng, update_stats, replay)
             cache.layer_caches.append(c)
         return h, cache

@@ -33,10 +33,6 @@ __all__ = [
     "NoiseOpSpec",
     "make_noise_op",
     "apply_spec",
-    "bernoulli_dropout",
-    "gaussian_dropout",
-    "uout",
-    "centered",
 ]
 
 
@@ -109,8 +105,8 @@ class GaussianDropout(_Multiplicative):
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 < 0.0:
-            raise ValueError("multiplier variance must be nonnegative")
+        if not 0.0 <= self.sigma2 < np.inf:
+            raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
 
     def _multiplier(self, shape, rng):
         return 1.0 + np.sqrt(self.sigma2) * rng.standard_normal(shape)
@@ -127,8 +123,8 @@ class Uout(_Multiplicative):
     beta: float
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ValueError("uniform noise half-width must be nonnegative")
+        if not 0.0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
 
     def _multiplier(self, shape, rng):
         return 1.0 + rng.uniform(-self.beta, self.beta, shape)
@@ -144,25 +140,21 @@ class RotationOut(NoiseOp):
 
     angles: AngleDistribution
 
+    # a vector is handled as a one-row batch
     def sample_state(self, x, rng):
         x = np.asarray(x)
-        if x.ndim == 1:
-            return sample_batch_rotation(1, x.shape[0], self.angles, rng)
-        if x.ndim == 2:
-            return sample_batch_rotation(x.shape[0], x.shape[1], self.angles, rng)
-        raise ValueError("dense rotation noise expects a vector or an (n, D) batch")
+        if x.ndim not in (1, 2):
+            raise ValueError("dense rotation noise expects a vector or an (n, D) batch")
+        n, dim = np.atleast_2d(x).shape
+        return sample_batch_rotation(n, dim, self.angles, rng)
 
     def apply_state(self, x, state):
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            return state.apply(x[None])[0]
-        return state.apply(x)
+        return state.apply(np.atleast_2d(x)).reshape(x.shape)
 
     def backprop_state(self, g, state):
         g = np.asarray(g, dtype=np.float64)
-        if g.ndim == 1:
-            return state.apply_transpose(g[None])[0]
-        return state.apply_transpose(g)
+        return state.apply_transpose(np.atleast_2d(g)).reshape(g.shape)
 
     @property
     def equivalent_keep_rate(self) -> float:
@@ -207,26 +199,6 @@ class Centered(NoiseOp):
 
 
 # ---------------------------------------------------------------------------
-# functional forms
-
-
-def bernoulli_dropout(x, keep_rate: float, rng: np.random.Generator) -> np.ndarray:
-    return BernoulliDropout(keep_rate)(x, rng)
-
-
-def gaussian_dropout(x, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    return GaussianDropout(sigma2)(x, rng)
-
-
-def uout(x, beta: float, rng: np.random.Generator) -> np.ndarray:
-    return Uout(beta)(x, rng)
-
-
-def centered(op: NoiseOp, x_batch, rng: np.random.Generator) -> np.ndarray:
-    return Centered(op)(x_batch, rng)
-
-
-# ---------------------------------------------------------------------------
 # declarative construction
 
 
@@ -266,8 +238,8 @@ class NoiseOpSpec:
         if self.kind in ("rotation", "rotation-block", "bernoulli-dropout"):
             if not 0.0 < self.strength <= 1.0:
                 raise ValueError("keep rate must lie in (0, 1]")
-        elif self.strength < 0.0:
-            raise ValueError("noise strength must be nonnegative")
+        elif not 0.0 <= self.strength < np.inf:
+            raise ValueError(f"strength must be finite and nonnegative, got {self.strength}")
 
     def angle_distribution(self) -> AngleDistribution:
         if self.kind not in ("rotation", "rotation-block"):

@@ -10,6 +10,9 @@ by 1 / cos(theta).  For a plane (i, j) the output is
 so the whole map is y = x + tan(theta) * s with a sparse, signed shuffle s.
 The noise each coordinate receives is another coordinate's activation,
 which is what distinguishes this operator from elementwise dropout noise.
+
+One private kernel computes s for a single pairing and for one pairing
+per row; the transpose is the same map with the tangent negated.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "AngleDistribution",
     "Pairing",
     "RotationRealization",
-    "RotationSampler",
     "BatchRotation",
     "uniform_angle",
     "gaussian_tangent",
@@ -36,7 +38,6 @@ __all__ = [
     "apply_rotation",
     "apply_rotation_transpose",
     "sample_batch_rotation",
-    "apply_centered",
     "apply_featuremap",
     "fixed_direction_sequence",
 ]
@@ -68,8 +69,8 @@ class AngleDistribution:
             if not 0.0 < p < _HALF_PI:
                 raise ValueError("uniform-angle width must lie in (0, pi/2)")
         elif self.kind == "gaussian-tangent":
-            if not p > 0.0:
-                raise ValueError("gaussian tangent scale must be positive")
+            if not 0.0 < p < np.inf:
+                raise ValueError("gaussian tangent scale must be positive and finite")
         elif self.kind == "fixed":
             if not -_HALF_PI < p < _HALF_PI:
                 raise ValueError("fixed angle must lie in (-pi/2, pi/2)")
@@ -94,12 +95,6 @@ class AngleDistribution:
         if self.kind == "uniform-angle":
             return np.tan(rng.uniform(0.0, self.parameter, size))
         return np.abs(self.sample_tangents(size, rng))
-
-    def second_moment_of_tangent(self) -> float:
-        return second_moment_of_tangent(self)
-
-    def equivalent_keep_rate(self) -> float:
-        return keep_rate_for(self)
 
 
 def uniform_angle(width: float) -> AngleDistribution:
@@ -214,27 +209,12 @@ def sample_pairing(dim: int, rng: np.random.Generator) -> Pairing:
 class RotationRealization:
     """One concrete rotation: a pairing plus tangent value(s).
 
-    ``tangent`` is a scalar for dense vectors.  Broadcastable arrays are
-    accepted so feature-map callers can pass one tangent per position.
+    ``tangent`` is a scalar for dense vectors; an array broadcasts against
+    the input, so an (n, 1) column gives each row its own tangent.
     """
 
     pairing: Pairing
     tangent: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class RotationSampler:
-    """Angle distribution plus the uniform pairing policy."""
-
-    angles: AngleDistribution
-
-    def realization(self, dim: int, rng: np.random.Generator) -> RotationRealization:
-        pairing = sample_pairing(dim, rng)
-        tangent = float(self.angles.sample_tangents((), rng))
-        return RotationRealization(pairing, tangent)
-
-    def equivalent_keep_rate(self) -> float:
-        return keep_rate_for(self.angles)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +241,31 @@ def _check_dim(x: np.ndarray, dim: int):
         raise ValueError(f"vector dimension {x.shape[-1]} does not match pairing dimension {dim}")
 
 
+def _pair_shuffle(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The signed shuffle s[i] = x[j], s[j] = -x[i] along the last axis.
+
+    ``i`` and ``j`` hold the planes either as one (d,) pairing shared by
+    every row or as (n, d) arrays with one pairing per row of an (n, D)
+    ``x``.  A coordinate in no plane gets s = 0.
+    """
+    rows = Ellipsis if i.ndim == 1 else np.arange(x.shape[0])[:, None]
+    s = np.zeros_like(x)
+    s[rows, i] = x[rows, j]
+    s[rows, j] = -x[rows, i]
+    return s
+
+
+def _rotate(x, i, j, tangent, dim: int) -> np.ndarray:
+    """x + tangent * s; a transpose passes -t, as g + (-t) * s == g - t * s exactly."""
+    x = np.asarray(x, dtype=np.float64)
+    _check_dim(x, dim)
+    return x + tangent * _pair_shuffle(x, i, j)
+
+
 def apply_rotation(x, realization: RotationRealization) -> np.ndarray:
     """Apply one rotation realization along the last axis of ``x`` in O(D)."""
-    x = np.asarray(x, dtype=np.float64)
-    _check_dim(x, realization.pairing.dim)
-    i = realization.pairing.pairs[:, 0]
-    j = realization.pairing.pairs[:, 1]
-    s = np.zeros_like(x)
-    s[..., i] = x[..., j]
-    s[..., j] = -x[..., i]
-    return x + realization.tangent * s
+    pairs = realization.pairing.pairs
+    return _rotate(x, pairs[:, 0], pairs[:, 1], realization.tangent, realization.pairing.dim)
 
 
 def apply_rotation_transpose(g, realization: RotationRealization) -> np.ndarray:
@@ -279,14 +274,8 @@ def apply_rotation_transpose(g, realization: RotationRealization) -> np.ndarray:
     Identical to applying the same pairing with the tangent negated, so
     <R x, g> == <x, R^T g> holds for all x, g.
     """
-    g = np.asarray(g, dtype=np.float64)
-    _check_dim(g, realization.pairing.dim)
-    i = realization.pairing.pairs[:, 0]
-    j = realization.pairing.pairs[:, 1]
-    s = np.zeros_like(g)
-    s[..., i] = g[..., j]
-    s[..., j] = -g[..., i]
-    return g - realization.tangent * s
+    pairs = realization.pairing.pairs
+    return _rotate(g, pairs[:, 0], pairs[:, 1], -realization.tangent, realization.pairing.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +297,11 @@ class BatchRotation:
     dim: int
     fixed: np.ndarray | None = None
 
-    def _shuffle(self, x: np.ndarray) -> np.ndarray:
-        rows = np.arange(x.shape[0])[:, None]
-        s = np.zeros_like(x)
-        s[rows, self.row_i] = x[rows, self.row_j]
-        s[rows, self.row_j] = -x[rows, self.row_i]
-        return s
-
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        _check_dim(x, self.dim)
-        return x + self.tangents[:, None] * self._shuffle(x)
+        return _rotate(x, self.row_i, self.row_j, self.tangents[:, None], self.dim)
 
     def apply_transpose(self, g) -> np.ndarray:
-        g = np.asarray(g, dtype=np.float64)
-        _check_dim(g, self.dim)
-        return g - self.tangents[:, None] * self._shuffle(g)
+        return _rotate(g, self.row_i, self.row_j, -self.tangents[:, None], self.dim)
 
 
 def sample_batch_rotation(
@@ -341,28 +319,11 @@ def sample_batch_rotation(
     )
 
 
-def apply_centered(x_batch, sampler, rng: np.random.Generator) -> np.ndarray:
-    """Rotate zero-centered rows of a batch and add the mean back.
-
-    Uses the per-feature batch mean as the centering estimate and a fresh
-    realization per row, so the conditional mean of the output given the
-    batch is the batch itself.
-    """
-    x = np.asarray(x_batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("centered variant requires batch statistics")
-    angles = sampler.angles if isinstance(sampler, RotationSampler) else sampler
-    mean = x.mean(axis=0)
-    batch = sample_batch_rotation(x.shape[0], x.shape[1], angles, rng)
-    return batch.apply(x - mean) + mean
-
-
 def apply_featuremap(
     x,
-    sampler,
+    angles: AngleDistribution,
     rng: np.random.Generator,
     block: tuple[int, int] | None = None,
-    symmetric_signs: bool = False,
 ) -> np.ndarray:
     """Shared-direction rotation of a (C, H, W) or (N, C, H, W) feature map.
 
@@ -371,11 +332,7 @@ def apply_featuremap(
     cannot cancel each other.  Channels are centered by their mean over
     batch and spatial axes before rotating.  With ``block`` given, only a
     uniformly anchored (bh, bw) window per sample is rotated; positions
-    outside it pass through bit-exactly.  ``symmetric_signs`` flips all
-    angles by one shared random sign per call; note that flipping every
-    angle equals flipping every plane's orientation, which the uniform
-    pairing randomizes anyway, so the flag changes nothing in distribution
-    and exists only to make the sign symmetry explicit.
+    outside it pass through bit-exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     batched = x.ndim == 4
@@ -386,12 +343,9 @@ def apply_featuremap(
     n, c, h, w = x.shape
     if c < 2:
         raise ValueError("feature-map rotation requires at least 2 channels")
-    angles = sampler.angles if isinstance(sampler, RotationSampler) else sampler
 
     pairing = sample_pairing(c, rng)
     t = angles.sample_magnitudes((n, h, w), rng)
-    if symmetric_signs:
-        t = t * (1.0 if rng.random() < 0.5 else -1.0)
     if block is not None:
         bh, bw = block
         if bh > h or bw > w or bh < 1 or bw < 1:
@@ -404,17 +358,14 @@ def apply_featuremap(
         t = t * keep
 
     mean = x.mean(axis=(0, 2, 3))[None, :, None, None]
-    xc = x - mean
-    i = pairing.pairs[:, 0]
-    j = pairing.pairs[:, 1]
-    s = np.zeros_like(xc)
-    s[:, i] = xc[:, j]
-    s[:, j] = -xc[:, i]
+    # channels moved last for the shuffle, then back
+    xc = np.moveaxis(x - mean, 1, -1)
+    s = np.moveaxis(_pair_shuffle(xc, pairing.pairs[:, 0], pairing.pairs[:, 1]), -1, 1)
     out = x + t[:, None, :, :] * s
     return out if batched else out[0]
 
 
-def fixed_direction_sequence(xs, sampler, rng: np.random.Generator) -> list[np.ndarray]:
+def fixed_direction_sequence(xs, angles, rng: np.random.Generator) -> list[np.ndarray]:
     """Rotate a sequence of vectors with one shared pairing, fresh angles.
 
     The pairing plays the role of a recurrent noise mask: it is drawn once
@@ -428,7 +379,6 @@ def fixed_direction_sequence(xs, sampler, rng: np.random.Generator) -> list[np.n
     dim = xs[0].shape[-1]
     for x in xs:
         _check_dim(x, dim)
-    angles = sampler.angles if isinstance(sampler, RotationSampler) else sampler
     pairing = sample_pairing(dim, rng)
     out = []
     for x in xs:

@@ -142,6 +142,26 @@ def test_variance_scaling_correction():
     np.testing.assert_allclose(half, manual, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "correction", [None, ("scale-variance", 0.5), ("poly", [1.1, -0.02, 0.001, 0.0])]
+)
+def test_test_forward_leaves_input_unchanged(correction):
+    rng = np.random.default_rng(16)
+    state = BatchNormState.initial(3)
+    bn_train_forward(rng.standard_normal((16, 3)), state)
+    x = rng.standard_normal((7, 3))
+    x_before = x.copy()
+    out = bn_test_forward(x, state, correction=correction)
+    np.testing.assert_array_equal(x, x_before)
+    assert not np.shares_memory(out, x)
+
+
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0])
+def test_state_rejects_bad_eps(eps):
+    with pytest.raises(ValueError, match="eps"):
+        BatchNormState.initial(2, eps=eps)
+
+
 def test_unknown_correction_rejected():
     rng = np.random.default_rng(6)
     state = BatchNormState.initial(2)
@@ -199,14 +219,25 @@ def test_curve_respects_hard_bound():
 
 
 def test_curve_is_odd_and_monotone_for_gaussian():
-    rng = np.random.default_rng(11)
+    # every grid point shares the companion draws, so the stderrs of the
+    # sums f(x) + f(-x) and of neighbouring differences come from the
+    # paired per-draw values (one block: the same draws as the curve's).
+    # False-failure rate: 13 two-sided and 24 one-sided 5-sigma checks,
+    # at most 1.5e-5 by a union bound under the normal approximation.
+    n_mc, b = 60_000, 8
     grid = np.arange(-3.0, 3.0 + 1e-9, 0.25)
-    curve = mc_nonlinearity_curve("gaussian", 8, rng, grid=grid, n_mc=60_000)
+    curve = mc_nonlinearity_curve("gaussian", b, np.random.default_rng(11), grid=grid, n_mc=n_mc)
+    z = standardized_sampler("gaussian")((n_mc, b - 1), np.random.default_rng(11))
+    m = z.mean(axis=1)
+    s2 = np.mean((z - m[:, None]) ** 2, axis=1)
+    d = grid[:, None] - m
+    f = np.sqrt((b - 1) / b) * d / np.sqrt(s2 + d**2 / b)
+    np.testing.assert_allclose(f.mean(axis=1), curve.f_expect, rtol=1e-12, atol=1e-15)
     sym = curve.f_expect + curve.f_expect[::-1]
-    err = np.hypot(curve.stderr, curve.stderr[::-1])
+    err = (f + f[::-1]).std(axis=1, ddof=1) / np.sqrt(n_mc)
     assert np.all(np.abs(sym) < 5 * err)
     steps = np.diff(curve.f_expect)
-    step_err = np.hypot(curve.stderr[1:], curve.stderr[:-1])
+    step_err = np.diff(f, axis=0).std(axis=1, ddof=1) / np.sqrt(n_mc)
     assert np.all(steps > -5 * step_err)
 
 

@@ -5,6 +5,7 @@ from rotnoise import (
     LayerSpec,
     NoiseOpSpec,
     TrainConfig,
+    bn_test_forward,
     build_network,
     gaussian_mixture_data,
     softmax_cross_entropy,
@@ -158,6 +159,18 @@ def test_eval_matches_reference_and_leaves_input_alone(kwargs):
     np.testing.assert_array_equal(x, x_before)
     for layer_cache in cache.layer_caches:
         assert not any(isinstance(v, np.ndarray) for v in layer_cache.values())
+
+
+def test_network_eval_batchnorm_equals_bn_test_forward():
+    model = small_model(batchnorm=True)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        model.forward(rng.standard_normal((6, 5)), mode="train", rng=rng)
+    bn = next(layer for layer in model.layers if isinstance(layer, _BatchNorm))
+    h = rng.standard_normal((6, bn.state.gamma.size))
+    expected = bn_test_forward(h, bn.state)
+    out, _ = bn.forward(h.copy(), "eval", None, False, None)
+    np.testing.assert_array_equal(out, expected)
 
 
 def test_batchnorm_eval_before_training_rejected():

@@ -8,14 +8,9 @@ from rotnoise import (
     NoiseOpSpec,
     RotationOut,
     Uout,
-    apply_centered,
     apply_spec,
-    bernoulli_dropout,
-    centered,
-    gaussian_dropout,
     gaussian_tangent,
     make_noise_op,
-    uout,
 )
 
 
@@ -32,7 +27,7 @@ def mc_conditional_moments(op, x, n, rng):
 def test_bernoulli_keep_rate_one_is_identity():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(32)
-    np.testing.assert_array_equal(bernoulli_dropout(x, 1.0, rng), x)
+    np.testing.assert_array_equal(BernoulliDropout(1.0)(x, rng), x)
 
 
 def test_bernoulli_rejects_keep_rate_zero():
@@ -45,7 +40,7 @@ def test_bernoulli_moments():
     rng = np.random.default_rng(1)
     p = 0.8
     x = np.ones(10_000)
-    out = bernoulli_dropout(x, p, rng)
+    out = BernoulliDropout(p)(x, rng)
     assert abs(out.mean() - 1.0) < 3 * out.std(ddof=1) / np.sqrt(x.size)
     var = np.mean((out - 1.0) ** 2)
     assert var == pytest.approx((1 - p) / p, rel=0.1)
@@ -58,7 +53,7 @@ def test_bernoulli_moments():
 def test_gaussian_zero_variance_is_identity():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(16)
-    np.testing.assert_array_equal(gaussian_dropout(x, 0.0, rng), x)
+    np.testing.assert_array_equal(GaussianDropout(0.0)(x, rng), x)
 
 
 def test_gaussian_rejects_negative_variance():
@@ -85,7 +80,7 @@ def test_gaussian_equivalence_label():
 def test_uout_zero_is_identity():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(8)
-    np.testing.assert_array_equal(uout(x, 0.0, rng), x)
+    np.testing.assert_array_equal(Uout(0.0)(x, rng), x)
 
 
 def test_uout_rejects_negative():
@@ -162,13 +157,13 @@ def test_centered_constant_batch_is_identity():
     rng = np.random.default_rng(9)
     x = np.tile(np.arange(6.0), (8, 1))
     for op in (BernoulliDropout(0.5), GaussianDropout(0.5), Uout(1.0)):
-        np.testing.assert_allclose(centered(op, x, rng), x, atol=0)
+        np.testing.assert_allclose(Centered(op)(x, rng), x, atol=0)
 
 
 def test_centered_requires_batch():
     rng = np.random.default_rng(10)
     with pytest.raises(ValueError, match="batch statistics"):
-        centered(BernoulliDropout(0.5), np.ones((1, 4)), rng)
+        Centered(BernoulliDropout(0.5))(np.ones((1, 4)), rng)
 
 
 def test_centered_dropout_variance_tracks_centered_energy():
@@ -181,7 +176,7 @@ def test_centered_dropout_variance_tracks_centered_energy():
     reps = 200
     acc = np.zeros((n, dim))
     for _ in range(reps):
-        out = centered(BernoulliDropout(p), x, rng)
+        out = Centered(BernoulliDropout(p))(x, rng)
         acc += (out - x) ** 2
     cond_var = (acc / reps).mean()
     lam = (1 - p) / p
@@ -189,13 +184,6 @@ def test_centered_dropout_variance_tracks_centered_energy():
     raw_energy = (x**2).mean()
     assert cond_var == pytest.approx(lam * centered_energy, rel=0.05)
     assert abs(cond_var - lam * raw_energy) > 5 * abs(cond_var - lam * centered_energy)
-
-
-def test_centered_rotation_delegates_to_rotation_core():
-    x = np.random.default_rng(12).standard_normal((32, 8))
-    out_a = Centered(RotationOut(gaussian_tangent(0.5)))(x, np.random.default_rng(5))
-    out_b = apply_centered(x, gaussian_tangent(0.5), np.random.default_rng(5))
-    np.testing.assert_array_equal(out_a, out_b)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +199,21 @@ def test_spec_validation():
         NoiseOpSpec("uout", 0.5, placement="recurrent")
     with pytest.raises(ValueError, match="feature maps"):
         NoiseOpSpec("rotation-block", 0.9, placement="dense")
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: GaussianDropout(v), "sigma2"),
+        (lambda v: Uout(v), "beta"),
+        (lambda v: NoiseOpSpec("uout", v), "strength"),
+        (lambda v: NoiseOpSpec("gaussian-dropout", v), "strength"),
+    ],
+)
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_strength_rejected(build, name, value):
+    with pytest.raises(ValueError, match=name):
+        build(value)
 
 
 def test_spec_roundtrip_keep_rate():

@@ -3,9 +3,9 @@ import pytest
 
 from rotnoise import (
     AngleDistribution,
+    Centered,
+    RotationOut,
     RotationRealization,
-    RotationSampler,
-    apply_centered,
     apply_featuremap,
     apply_rotation,
     apply_rotation_transpose,
@@ -21,6 +21,10 @@ from rotnoise import (
     uniform_angle_for_keep_rate,
 )
 from rotnoise.rotation import Pairing
+
+
+def centered_rotation(x, angles, rng):
+    return Centered(RotationOut(angles))(x, rng)
 
 
 def dense_oracle(pairing, theta):
@@ -212,6 +216,23 @@ def test_pair_law():
         assert y[j] == x[j] - t * x[i]
 
 
+@pytest.mark.parametrize("dim", [2, 3, 7, 8])
+def test_batch_rotation_rows_match_single_realizations(dim):
+    # the per-row and the shared-pairing paths of the shuffle agree exactly
+    rng = np.random.default_rng(40 + dim)
+    batch = sample_batch_rotation(9, dim, gaussian_tangent(0.5), rng)
+    x = rng.standard_normal((9, dim))
+    fwd = batch.apply(x)
+    bwd = batch.apply_transpose(x)
+    for r in range(9):
+        perm = np.concatenate([batch.row_i[r], batch.row_j[r]])
+        if batch.fixed is not None:
+            perm = np.append(perm, batch.fixed[r])
+        real = RotationRealization(pairing_from_permutation(perm), batch.tangents[r])
+        np.testing.assert_array_equal(fwd[r], apply_rotation(x[r], real))
+        np.testing.assert_array_equal(bwd[r], apply_rotation_transpose(x[r], real))
+
+
 def test_zero_centered_noise_mean():
     rng = np.random.default_rng(11)
     dim, n = 8, 200_000
@@ -263,6 +284,8 @@ def test_angle_distribution_validation():
     with pytest.raises(ValueError):
         gaussian_tangent(0.0)
     with pytest.raises(ValueError):
+        gaussian_tangent(np.inf)
+    with pytest.raises(ValueError):
         fixed_angle(2.0)
     with pytest.raises(ValueError):
         AngleDistribution("triangular", 0.3)
@@ -275,21 +298,21 @@ def test_angle_distribution_validation():
 def test_centered_constant_batch_is_identity():
     rng = np.random.default_rng(12)
     x = np.tile(rng.standard_normal(6), (5, 1))
-    out = apply_centered(x, RotationSampler(gaussian_tangent(0.7)), rng)
+    out = centered_rotation(x, gaussian_tangent(0.7), rng)
     np.testing.assert_array_equal(out, x)
 
 
 def test_centered_zero_angle_is_identity():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((10, 4))
-    out = apply_centered(x, fixed_angle(0.0), rng)
+    out = centered_rotation(x, fixed_angle(0.0), rng)
     np.testing.assert_allclose(out, x, atol=0)
 
 
 def test_centered_requires_batch():
     rng = np.random.default_rng(14)
     with pytest.raises(ValueError, match="batch statistics"):
-        apply_centered(np.ones((1, 4)), gaussian_tangent(0.5), rng)
+        centered_rotation(np.ones((1, 4)), gaussian_tangent(0.5), rng)
 
 
 def test_centered_replications_average_to_input():
@@ -299,7 +322,7 @@ def test_centered_replications_average_to_input():
     acc = np.zeros_like(x)
     acc2 = np.zeros_like(x)
     for _ in range(reps):
-        out = apply_centered(x, gaussian_tangent(0.5), rng)
+        out = centered_rotation(x, gaussian_tangent(0.5), rng)
         acc += out
         acc2 += out**2
     mean = acc / reps
@@ -365,24 +388,8 @@ def test_featuremap_degenerate_map_matches_centered_rows():
     base = np.random.default_rng(99).standard_normal((64, 2))
     for _ in range(5):
         fm = apply_featuremap(base[:, :, None, None], fixed_angle(0.6), rng_a)[:, :, 0, 0]
-        ct = apply_centered(base, fixed_angle(0.6), rng_b)
+        ct = centered_rotation(base, fixed_angle(0.6), rng_b)
         np.testing.assert_allclose(np.abs(fm - base), np.abs(ct - base), atol=1e-12)
-
-
-def test_featuremap_symmetric_sign_flag_keeps_shared_direction():
-    # the shared sign never breaks the shared direction: within one call
-    # the sign pattern is still uniform across positions
-    rng = np.random.default_rng(30)
-    v = np.random.default_rng(2).standard_normal(6)
-    x = np.stack([
-        np.tile(v[:, None, None], (1, 3, 3)),
-        np.tile(-v[:, None, None], (1, 3, 3)),
-    ])
-    for _ in range(20):
-        out = apply_featuremap(x, fixed_angle(0.5), rng, symmetric_signs=True)
-        pert = (out - x)[0].transpose(1, 2, 0).reshape(-1, 6)
-        signs = np.sign(pert)
-        np.testing.assert_array_equal(signs, np.tile(signs[0], (signs.shape[0], 1)))
 
 
 def test_featuremap_block_only_rotates_inside():
