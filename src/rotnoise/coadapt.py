@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise_ops import BernoulliDropout, NoiseOp, RotationOut
-from .rotation import gaussian_tangent
+from .noise_ops import NoiseOpSpec, make_noise_op
 
 __all__ = [
     "CovStats",
@@ -173,14 +172,6 @@ class CoadaptReport:
     undefined: bool = False
 
 
-def _noise_op_for(method: str, keep_rate: float) -> NoiseOp:
-    if method == "dropout":
-        return BernoulliDropout(keep_rate)
-    if method == "rotation":
-        return RotationOut(gaussian_tangent(np.sqrt(_strength(keep_rate))))
-    raise ValueError(f"method must be one of {_METHODS}")
-
-
 def verify_reduction(
     source,
     method: str,
@@ -204,8 +195,10 @@ def verify_reduction(
     x = np.asarray(source.sample(int(n_samples), rng), dtype=np.float64)
     if center:
         x = x - x.mean(axis=0)
-    op = _noise_op_for(method, keep_rate)
-    noised = op(x, rng)
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}")
+    kind = "bernoulli-dropout" if method == "dropout" else "rotation"
+    noised = make_noise_op(NoiseOpSpec(kind, keep_rate))(x, rng)
 
     cov_in = np.cov(x.T, ddof=1)
     cov_out = np.cov(noised.T, ddof=1)

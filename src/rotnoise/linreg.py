@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rotation import AngleDistribution, sample_batch_rotation
+from .rotation import _BLOCK, AngleDistribution, BatchRotation, sample_batch_rotation
 
 __all__ = [
     "RegressionProblem",
@@ -149,13 +149,22 @@ def marginalized_gradient(
     closed-form solution the mean is zero up to Monte-Carlo noise.
     """
     X, y = problem.X, problem.y
+    n, dim = X.shape
     w = np.asarray(w, dtype=np.float64)
-    grads = np.empty((n_trials, problem.dim))
-    for t in range(n_trials):
-        batch = sample_batch_rotation(problem.n, problem.dim, angles, rng)
-        xr = batch.apply(X)
+    grads = np.empty((n_trials, dim))
+    # a block of trials is rotated by one kernel call and reduced by stacked
+    # matmuls; each trial still draws its own rotations, in trial order
+    block = max(1, _BLOCK // (n * dim))
+    for lo in range(0, n_trials, block):
+        hi = min(n_trials, lo + block)
+        batches = [sample_batch_rotation(n, dim, angles, rng) for _ in range(lo, hi)]
+        rotation = BatchRotation(
+            perm=np.concatenate([b.perm for b in batches]),
+            tangents=np.concatenate([b.tangents for b in batches]),
+        )
+        xr = rotation.apply(np.tile(X, (hi - lo, 1))).reshape(hi - lo, n, dim)
         resid = y - xr @ w
-        grads[t] = -2.0 * resid @ xr
+        grads[lo:hi] = ((-2.0 * resid)[:, None, :] @ xr)[:, 0]
     return grads.mean(axis=0), grads.std(axis=0, ddof=1) / np.sqrt(n_trials)
 
 
@@ -173,14 +182,28 @@ def dropout_rotation_angle(
         raise ValueError("angle demo needs at least 2 dimensions")
     if not 0.0 < keep_rate <= 1.0:
         raise ValueError("keep rate must lie in (0, 1]")
-    x = np.abs(rng.standard_normal((n_samples, dim)))
-    mask = rng.random((n_samples, dim)) < keep_rate
-    empty = ~mask.any(axis=1)
-    while empty.any():
-        mask[empty] = rng.random((int(empty.sum()), dim)) < keep_rate
-        empty = ~mask.any(axis=1)
-    x2 = x**2
-    cos2 = (x2 * mask).sum(axis=1) / x2.sum(axis=1)
+    x = rng.standard_normal((n_samples, dim))
+    np.abs(x, out=x)
+    cos2 = np.empty(n_samples)
+
+    def reduce_rows(rows, mask):
+        x2 = x[rows] ** 2
+        cos2[rows] = (x2 * mask).sum(axis=1) / x2.sum(axis=1)
+
+    # the masks are drawn and reduced in row blocks, in the order one
+    # (n_samples, dim) draw would take, so no full-size temporary is built
+    block = max(1, _BLOCK // dim)
+    empty = []
+    for lo in range(0, n_samples, block):
+        rows = slice(lo, min(n_samples, lo + block))
+        mask = rng.random((rows.stop - lo, dim)) < keep_rate
+        reduce_rows(rows, mask)
+        empty.extend(lo + np.flatnonzero(~mask.any(axis=1)))
+    empty = np.array(empty, dtype=np.intp)
+    while empty.size:
+        mask = rng.random((empty.size, dim)) < keep_rate
+        reduce_rows(empty, mask)
+        empty = empty[~mask.any(axis=1)]
     return float(cos2.mean()), float(cos2.std(ddof=1) / np.sqrt(n_samples))
 
 

@@ -214,7 +214,9 @@ class NoiseOpSpec:
     ``strength`` is the keep rate p for the bernoulli and rotation kinds
     (rotation tangents are matched through (1 - p)/p = E tan^2 theta using
     ``angle_kind``), the multiplier variance sigma^2 for gaussian dropout,
-    and the half-width beta for uout.
+    and the half-width beta for uout.  ``centered`` is a dense-placement
+    option: feature-map rotation always centers its channels, and the
+    other structured placements never do, so it is rejected there.
     """
 
     kind: str
@@ -231,6 +233,8 @@ class NoiseOpSpec:
             raise ValueError(f"unknown placement: {self.placement!r}")
         if self.angle_kind not in _ANGLE_KINDS:
             raise ValueError(f"unknown angle kind: {self.angle_kind!r}")
+        if self.centered and self.placement != "dense":
+            raise ValueError(f"centered applies to the dense placement only, not {self.placement!r}")
         if self.kind == "rotation-block" and self.placement != "featuremap":
             raise ValueError("block rotation is only defined on feature maps")
         if self.kind == "rotation-block" and self.block is None:

@@ -11,8 +11,17 @@ so the whole map is y = x + tan(theta) * s with a sparse, signed shuffle s.
 The noise each coordinate receives is another coordinate's activation,
 which is what distinguishes this operator from elementwise dropout noise.
 
-One private kernel computes s for a single pairing and for one pairing
-per row; the transpose is the same map with the tangent negated.
+A realization is stored as a permutation of the D coordinates: its first
+D // 2 entries are paired with the next D // 2, and for odd D the last
+entry is the unpaired coordinate.  ``BatchRotation`` keeps one such
+permutation per row (the one ``sample_batch_rotation`` draws with
+``argsort``); a ``Pairing`` is the same permutation split into planes.
+
+One private kernel applies both forms.  It walks the rows in blocks of
+about 2**15 elements, so its temporaries stay in cache; per block it
+gathers x once at the flat index row * D + perm, forms x_p + t * s_p in the
+permuted frame with two half-width slice operations, and scatters the
+result back once.  The transpose is the same map with the tangent negated.
 """
 
 from __future__ import annotations
@@ -241,31 +250,64 @@ def _check_dim(x: np.ndarray, dim: int):
         raise ValueError(f"vector dimension {x.shape[-1]} does not match pairing dimension {dim}")
 
 
-def _pair_shuffle(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The signed shuffle s[i] = x[j], s[j] = -x[i] along the last axis.
+_BLOCK = 1 << 15  # elements per kernel block: every temporary of a block stays in L2
 
-    ``i`` and ``j`` hold the planes either as one (d,) pairing shared by
-    every row or as (n, d) arrays with one pairing per row of an (n, D)
-    ``x``.  A coordinate in no plane gets s = 0.
+
+def _rotate(x, perm: np.ndarray, tangent, base=None) -> np.ndarray:
+    """base + tangent * s along the last axis, s the signed pair shuffle of x.
+
+    ``perm`` is one (D,) permutation shared by every row of ``x`` or an
+    (n, D) array holding one permutation per row of an (n, D) ``x``; with
+    i = perm[:D // 2] and j = perm[D // 2 : 2 * (D // 2)], s[i] = x[j] and
+    s[j] = -x[i].  The unpaired coordinate of odd D gets s = 0 and still
+    computes base + t * 0, so a -0.0 there rounds as everywhere else.
+    ``tangent`` is a scalar or broadcasts against ``x.shape[:-1] + (1,)``,
+    and ``base`` defaults to ``x``.  A transpose passes -t, as
+    g + (-t) * s == g - t * s exactly.
     """
-    rows = Ellipsis if i.ndim == 1 else np.arange(x.shape[0])[:, None]
-    s = np.zeros_like(x)
-    s[rows, i] = x[rows, j]
-    s[rows, j] = -x[rows, i]
-    return s
-
-
-def _rotate(x, i, j, tangent, dim: int) -> np.ndarray:
-    """x + tangent * s; a transpose passes -t, as g + (-t) * s == g - t * s exactly."""
     x = np.asarray(x, dtype=np.float64)
+    dim = perm.shape[-1]
     _check_dim(x, dim)
-    return x + tangent * _pair_shuffle(x, i, j)
+    if perm.ndim == 2 and x.shape != perm.shape:
+        raise ValueError(f"batch of shape {x.shape} does not match {perm.shape[0]} row rotations")
+    shape = x.shape
+    x = x.reshape(-1, dim)
+    base = x if base is None else np.asarray(base, dtype=np.float64).reshape(-1, dim)
+    t = np.asarray(tangent, dtype=np.float64)
+    if t.ndim:
+        t = np.broadcast_to(t, shape[:-1] + (1,)).reshape(-1)
+    n, d = x.shape[0], dim // 2
+    rows = max(1, _BLOCK // dim)
+    offsets = np.arange(0, min(rows, n) * dim, dim)
+    out = np.empty((n, dim))
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        # (D, rows) index: the permuted frame holds one coordinate per row,
+        # so the slices below run along contiguous memory
+        shuffled = perm[lo:hi].T if perm.ndim == 2 else perm[:, None]
+        idx = np.add(shuffled, offsets[: hi - lo], order="C")
+        xp = np.take(x[lo:hi], idx)
+        bp = xp if base is x else np.take(base[lo:hi], idx)
+        tb = t[lo:hi] if t.ndim else t
+        yp = np.empty_like(xp)
+        first, second = yp[:d], yp[d : 2 * d]
+        np.add(bp[:d], np.multiply(tb, xp[d : 2 * d], out=first), out=first)
+        np.subtract(bp[d : 2 * d], np.multiply(tb, xp[:d], out=second), out=second)
+        if dim % 2:
+            yp[-1] = bp[-1] + tb * 0.0
+        out[lo:hi].reshape(-1)[idx] = yp
+    return out.reshape(shape)
+
+
+def _permutation(pairing: Pairing) -> np.ndarray:
+    """The permutation that induces ``pairing`` (see pairing_from_permutation)."""
+    perm = pairing.pairs.T.ravel()
+    return perm if pairing.fixed is None else np.append(perm, pairing.fixed)
 
 
 def apply_rotation(x, realization: RotationRealization) -> np.ndarray:
     """Apply one rotation realization along the last axis of ``x`` in O(D)."""
-    pairs = realization.pairing.pairs
-    return _rotate(x, pairs[:, 0], pairs[:, 1], realization.tangent, realization.pairing.dim)
+    return _rotate(x, _permutation(realization.pairing), realization.tangent)
 
 
 def apply_rotation_transpose(g, realization: RotationRealization) -> np.ndarray:
@@ -274,8 +316,7 @@ def apply_rotation_transpose(g, realization: RotationRealization) -> np.ndarray:
     Identical to applying the same pairing with the tangent negated, so
     <R x, g> == <x, R^T g> holds for all x, g.
     """
-    pairs = realization.pairing.pairs
-    return _rotate(g, pairs[:, 0], pairs[:, 1], -realization.tangent, realization.pairing.dim)
+    return _rotate(g, _permutation(realization.pairing), -realization.tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -284,24 +325,43 @@ def apply_rotation_transpose(g, realization: RotationRealization) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BatchRotation:
-    """Fresh rotation per row of an (n, D) batch, stored in index form.
+    """Fresh rotation per row of an (n, D) batch, stored as permutations.
 
-    ``row_i``/``row_j`` hold the plane indices per row, ``tangents`` one
-    tangent per row.  ``fixed`` is unused for even D and kept only so a
-    realization can be reported back to callers.
+    Row r pairs ``perm[r, :D // 2]`` with ``perm[r, D // 2 : 2 * (D // 2)]``
+    and rotates by ``tangents[r]``; for odd D, ``perm[r, -1]`` is the
+    unpaired coordinate.  ``row_i``, ``row_j`` and ``fixed`` are read-only
+    views of ``perm``.
     """
 
-    row_i: np.ndarray
-    row_j: np.ndarray
+    perm: np.ndarray
     tangents: np.ndarray
-    dim: int
-    fixed: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return self.perm.shape[1]
+
+    def _view(self, columns) -> np.ndarray:
+        view = self.perm[:, columns]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def row_i(self) -> np.ndarray:
+        return self._view(slice(0, self.dim // 2))
+
+    @property
+    def row_j(self) -> np.ndarray:
+        return self._view(slice(self.dim // 2, 2 * (self.dim // 2)))
+
+    @property
+    def fixed(self) -> np.ndarray | None:
+        return self._view(-1) if self.dim % 2 else None
 
     def apply(self, x) -> np.ndarray:
-        return _rotate(x, self.row_i, self.row_j, self.tangents[:, None], self.dim)
+        return _rotate(x, self.perm, self.tangents[:, None])
 
     def apply_transpose(self, g) -> np.ndarray:
-        return _rotate(g, self.row_i, self.row_j, -self.tangents[:, None], self.dim)
+        return _rotate(g, self.perm, -self.tangents[:, None])
 
 
 def sample_batch_rotation(
@@ -310,13 +370,9 @@ def sample_batch_rotation(
     """Draw ``n`` independent (pairing, tangent) realizations at once."""
     if dim < 2:
         raise ValueError("rotation undefined below dimension 2")
-    d = dim // 2
     perm = np.argsort(rng.random((n, dim)), axis=1)
-    fixed = perm[:, -1].copy() if dim % 2 else None
     tangents = np.asarray(angles.sample_tangents(n, rng), dtype=np.float64)
-    return BatchRotation(
-        row_i=perm[:, :d], row_j=perm[:, d : 2 * d], tangents=tangents, dim=dim, fixed=fixed
-    )
+    return BatchRotation(perm=perm, tangents=tangents)
 
 
 def apply_featuremap(
@@ -358,10 +414,10 @@ def apply_featuremap(
         t = t * keep
 
     mean = x.mean(axis=(0, 2, 3))[None, :, None, None]
-    # channels moved last for the shuffle, then back
-    xc = np.moveaxis(x - mean, 1, -1)
-    s = np.moveaxis(_pair_shuffle(xc, pairing.pairs[:, 0], pairing.pairs[:, 1]), -1, 1)
-    out = x + t[:, None, :, :] * s
+    # channels moved last for the kernel, then back: x + t * s(x - mean)
+    last = np.moveaxis(x - mean, 1, -1)
+    out = _rotate(last, _permutation(pairing), t[..., None], base=np.moveaxis(x, 1, -1))
+    out = np.ascontiguousarray(np.moveaxis(out, -1, 1))
     return out if batched else out[0]
 
 
@@ -379,9 +435,5 @@ def fixed_direction_sequence(xs, angles, rng: np.random.Generator) -> list[np.nd
     dim = xs[0].shape[-1]
     for x in xs:
         _check_dim(x, dim)
-    pairing = sample_pairing(dim, rng)
-    out = []
-    for x in xs:
-        tangent = float(angles.sample_tangents((), rng))
-        out.append(apply_rotation(x, RotationRealization(pairing, tangent)))
-    return out
+    perm = _permutation(sample_pairing(dim, rng))
+    return [_rotate(x, perm, float(angles.sample_tangents((), rng))) for x in xs]

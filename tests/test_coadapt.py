@@ -277,3 +277,17 @@ def test_uncentered_dropout_on_relu_features():
 
     report = verify_reduction(source, "dropout", 0.9, 400_000, rng, center=False)
     assert report.observed_factor == pytest.approx(predictions[0.9], abs=5 * report.stderr)
+
+
+@pytest.mark.parametrize("method", ["dropout", "rotation"])
+def test_verify_reduction_at_keep_rate_one_reports_factor_one(method):
+    # keep rate 1 is the no-noise limit of both operators, as in NoiseOpSpec
+    rng = np.random.default_rng(11)
+    report = verify_reduction(GaussianSource(equicorrelated(4, 0.5)), method, 1.0, 2_000, rng)
+    assert report.observed_factor == pytest.approx(1.0, abs=1e-12)
+    assert report.predicted_factor == pytest.approx(1.0, abs=1e-12)
+
+
+def test_verify_reduction_rejects_unknown_method():
+    with pytest.raises(ValueError, match="method must be one of"):
+        verify_reduction(GaussianSource(equicorrelated(4, 0.5)), "uout", 0.8, 100, np.random.default_rng(12))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from test_rotation import rotate_reference
 
+import rotnoise.linreg
 from rotnoise import (
     RegressionProblem,
     SingularSystemError,
@@ -13,10 +15,12 @@ from rotnoise import (
     margin_flip_curve,
     marginalized_gradient,
     rotation_system_matrix,
+    sample_batch_rotation,
     solve_dropout_lr,
     solve_rotation_lr,
     uniform_angle,
 )
+from rotnoise.rotation import _BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +170,80 @@ def test_rotation_condition_bound_rank_deficient():
     assert kr <= 5 + 1e-9
 
 
+def gradient_reference(problem, w, angles, n_trials, rng):
+    """marginalized_gradient as one trial per loop step and the reference shuffle."""
+    grads = np.empty((n_trials, problem.dim))
+    for t in range(n_trials):
+        batch = sample_batch_rotation(problem.n, problem.dim, angles, rng)
+        xr = rotate_reference(problem.X, batch.row_i, batch.row_j, batch.tangents[:, None])
+        resid = problem.y - xr @ w
+        grads[t] = -2.0 * resid @ xr
+    return grads.mean(axis=0), grads.std(axis=0, ddof=1) / np.sqrt(n_trials)
+
+
+@pytest.mark.parametrize("n, dim", [(40, 7), (33, 4), (12, 2)])
+def test_marginalized_gradient_matches_per_trial_loop(n, dim):
+    data = np.random.default_rng(n + dim)
+    problem = RegressionProblem(data.standard_normal((n, dim)), data.standard_normal(n), 0.5)
+    w = data.standard_normal(dim)
+    angles = gaussian_tangent(np.sqrt(0.5))
+    trials = 2 * (_BLOCK // (n * dim)) + 7  # two trial blocks and a remainder
+    rng = np.random.Generator(np.random.SFC64(5))
+    ref_rng = np.random.Generator(np.random.SFC64(5))
+    mean, stderr = marginalized_gradient(problem, w, angles, trials, rng)
+    ref_mean, ref_stderr = gradient_reference(problem, w, angles, trials, ref_rng)
+    np.testing.assert_array_equal(mean.view(np.uint64), ref_mean.view(np.uint64))
+    np.testing.assert_array_equal(stderr.view(np.uint64), ref_stderr.view(np.uint64))
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+
+def test_marginalized_gradient_draws_one_batch_rotation_per_trial(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:2])
+        return sample_batch_rotation(*args)
+
+    monkeypatch.setattr(rotnoise.linreg, "sample_batch_rotation", counting)
+    rng = np.random.default_rng(16)
+    problem = RegressionProblem(rng.standard_normal((50, 6)), rng.standard_normal(50), 1.0)
+    marginalized_gradient(problem, np.zeros(6), gaussian_tangent(1.0), 250, rng)
+    assert calls == [(50, 6)] * 250
+
+
 # ---------------------------------------------------------------------------
 # dropout angle demo
+
+
+def angle_reference(dim, keep_rate, n_samples, rng):
+    """dropout_rotation_angle with one (n_samples, dim) mask draw."""
+    x = np.abs(rng.standard_normal((n_samples, dim)))
+    mask = rng.random((n_samples, dim)) < keep_rate
+    empty = ~mask.any(axis=1)
+    while empty.any():
+        mask[empty] = rng.random((int(empty.sum()), dim)) < keep_rate
+        empty = ~mask.any(axis=1)
+    x2 = x**2
+    cos2 = (x2 * mask).sum(axis=1) / x2.sum(axis=1)
+    return float(cos2.mean()), float(cos2.std(ddof=1) / np.sqrt(n_samples))
+
+
+@pytest.mark.parametrize(
+    "dim, keep_rate, n_samples",
+    [
+        (2, 0.3, 3 * (_BLOCK // 2) + 77),  # half the masks are empty and redrawn
+        (1024, 0.5, 3 * (_BLOCK // 1024) + 5),
+        (64, 0.8, 10),
+    ],
+)
+def test_angle_matches_one_shot_draw(dim, keep_rate, n_samples):
+    rng = np.random.Generator(np.random.SFC64(17))
+    ref_rng = np.random.Generator(np.random.SFC64(17))
+    assert dropout_rotation_angle(dim, keep_rate, n_samples, rng) == angle_reference(
+        dim, keep_rate, n_samples, ref_rng
+    )
+    np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
 
 
 def test_angle_keep_rate_one_is_exact():

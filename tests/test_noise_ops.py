@@ -216,6 +216,15 @@ def test_non_finite_strength_rejected(build, name, value):
         build(value)
 
 
+@pytest.mark.parametrize("placement", ["featuremap", "sequence"])
+@pytest.mark.parametrize("kind", ["rotation", "bernoulli-dropout", "uout"])
+def test_spec_rejects_centered_outside_dense_placement(kind, placement):
+    # feature-map rotation always centers and sequences never do, so the
+    # flag would be silently ignored there
+    with pytest.raises(ValueError, match="centered"):
+        NoiseOpSpec(kind, 0.5, centered=True, placement=placement)
+
+
 def test_spec_roundtrip_keep_rate():
     for kind, strength in [("bernoulli-dropout", 0.8), ("rotation", 0.8), ("gaussian-dropout", 0.25)]:
         op = make_noise_op(NoiseOpSpec(kind, strength))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotnoise import (
     AngleDistribution,
@@ -20,11 +22,38 @@ from rotnoise import (
     uniform_angle,
     uniform_angle_for_keep_rate,
 )
-from rotnoise.rotation import Pairing
+from rotnoise.rotation import _BLOCK, Pairing
 
 
 def centered_rotation(x, angles, rng):
     return Centered(RotationOut(angles))(x, rng)
+
+
+def pair_shuffle_reference(x, i, j):
+    """The signed shuffle s[i] = x[j], s[j] = -x[i] by fancy indexing.
+
+    The formula the rotation kernel used before it stored permutations:
+    ``i``/``j`` hold one (d,) pairing shared by every row or (n, d) planes
+    per row of an (n, D) ``x``; a coordinate in no plane gets s = +0.0.
+    """
+    rows = Ellipsis if i.ndim == 1 else np.arange(x.shape[0])[:, None]
+    s = np.zeros_like(x)
+    s[rows, i] = x[rows, j]
+    s[rows, j] = -x[rows, i]
+    return s
+
+
+def rotate_reference(x, i, j, tangent):
+    x = np.asarray(x, dtype=np.float64)
+    return x + tangent * pair_shuffle_reference(x, i, j)
+
+
+def assert_same_bits(actual, expected):
+    # assert_array_equal treats -0.0 == +0.0; the bit patterns must agree too
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(actual).view(np.uint64), np.ascontiguousarray(expected).view(np.uint64)
+    )
 
 
 def dense_oracle(pairing, theta):
@@ -443,3 +472,153 @@ def test_sequence_single_step_matches_dense_rotation():
     pairing = sample_pairing(6, rng)
     expected = apply_rotation(xs[0], RotationRealization(pairing, np.tan(0.4)))
     np.testing.assert_allclose(out[0], expected, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the blocked permutation kernel against the fancy-indexing reference
+
+KERNEL_EXAMPLES = settings(derandomize=True, max_examples=5, deadline=None, database=None)
+KERNEL_DIMS = (2, 3, 7, 8, 256)
+kernel_layouts = pytest.mark.parametrize("layout", ["contiguous", "broadcast", "column-slice"])
+kernel_dims = pytest.mark.parametrize("dim", KERNEL_DIMS)
+kernel_sizes = pytest.mark.parametrize("size", ["one block", "three blocks and a remainder"])
+
+
+def kernel_input(data, dim, layout, size):
+    """An (n, dim) input of the given layout; some entries are -0.0.
+
+    ``broadcast`` repeats one row with stride 0, as ``cli verify-rotation``
+    and ``classification_flip_rate`` pass it; ``column-slice`` is a
+    non-contiguous view into a wider array.
+    """
+    rows = _BLOCK // dim
+    n = data.draw(st.integers(1, rows)) if size == "one block" else 3 * rows + data.draw(st.integers(1, rows - 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if layout == "broadcast":
+        row = rng.standard_normal(dim)
+        row[rng.random(dim) < 0.2] = -0.0
+        return np.broadcast_to(row, (n, dim)), rng
+    x = rng.standard_normal((n, dim + 3))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    return (x[:, 2 : dim + 2] if layout == "column-slice" else np.ascontiguousarray(x[:, :dim])), rng
+
+
+@kernel_sizes
+@kernel_layouts
+@kernel_dims
+@KERNEL_EXAMPLES
+@given(data=st.data())
+def test_batch_rotation_matches_reference_shuffle(dim, layout, size, data):
+    x, rng = kernel_input(data, dim, layout, size)
+    batch = sample_batch_rotation(x.shape[0], dim, gaussian_tangent(0.7), rng)
+    t = batch.tangents[:, None]
+    assert_same_bits(batch.apply(x), rotate_reference(x, batch.row_i, batch.row_j, t))
+    assert_same_bits(batch.apply_transpose(x), rotate_reference(x, batch.row_i, batch.row_j, -t))
+
+
+@kernel_sizes
+@kernel_layouts
+@kernel_dims
+@KERNEL_EXAMPLES
+@given(data=st.data(), tangent=st.floats(-3.0, 3.0))
+def test_shared_pairing_matches_reference_shuffle(dim, layout, size, data, tangent):
+    x, rng = kernel_input(data, dim, layout, size)
+    pairing = sample_pairing(dim, rng)
+    real = RotationRealization(pairing, tangent)
+    i, j = pairing.pairs[:, 0], pairing.pairs[:, 1]
+    for rows in (x, x[0]):
+        assert_same_bits(apply_rotation(rows, real), rotate_reference(rows, i, j, tangent))
+        assert_same_bits(apply_rotation_transpose(rows, real), rotate_reference(rows, i, j, -tangent))
+
+
+def featuremap_reference(x, angles, rng, block=None):
+    """apply_featuremap's draws and arithmetic with the reference shuffle."""
+    n, c, h, w = x.shape
+    pairing = sample_pairing(c, rng)
+    t = angles.sample_magnitudes((n, h, w), rng)
+    if block is not None:
+        bh, bw = block
+        keep = np.zeros((n, h, w))
+        ah = rng.integers(0, h - bh + 1, size=n)
+        aw = rng.integers(0, w - bw + 1, size=n)
+        for k in range(n):
+            keep[k, ah[k] : ah[k] + bh, aw[k] : aw[k] + bw] = 1.0
+        t = t * keep
+    centered = np.moveaxis(x - x.mean(axis=(0, 2, 3))[None, :, None, None], 1, -1)
+    s = np.moveaxis(pair_shuffle_reference(centered, pairing.pairs[:, 0], pairing.pairs[:, 1]), -1, 1)
+    return x + t[:, None, :, :] * s
+
+
+@KERNEL_EXAMPLES
+@given(
+    st.sampled_from(KERNEL_DIMS),
+    st.integers(1, 3),
+    st.sampled_from([None, (2, 1)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_featuremap_matches_reference_shuffle(channels, n, block, seed):
+    x = np.random.default_rng(seed).standard_normal((n, channels, 3, 4))
+    angles = uniform_angle(0.9)
+    out = apply_featuremap(x, angles, np.random.default_rng(seed + 1), block=block)
+    assert_same_bits(out, featuremap_reference(x, angles, np.random.default_rng(seed + 1), block))
+    assert out.flags.c_contiguous
+    single = apply_featuremap(x[0], angles, np.random.default_rng(seed + 2))
+    assert_same_bits(single, featuremap_reference(x[:1], angles, np.random.default_rng(seed + 2))[0])
+
+
+@KERNEL_EXAMPLES
+@given(st.sampled_from(KERNEL_DIMS), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_sequence_matches_reference_shuffle(dim, steps, seed):
+    xs = list(np.random.default_rng(seed).standard_normal((steps, dim)))
+    angles = gaussian_tangent(0.6)
+    out = fixed_direction_sequence(xs, angles, np.random.default_rng(seed + 1))
+    rng = np.random.default_rng(seed + 1)
+    pairing = sample_pairing(dim, rng)
+    for x, y in zip(xs, out, strict=True):
+        t = float(angles.sample_tangents((), rng))
+        assert_same_bits(y, rotate_reference(x, pairing.pairs[:, 0], pairing.pairs[:, 1], t))
+
+
+@KERNEL_EXAMPLES
+@given(st.sampled_from(KERNEL_DIMS), st.integers(0, 2**32 - 1))
+def test_rotation_out_on_a_vector_matches_reference_shuffle(dim, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim)
+    op = RotationOut(gaussian_tangent(0.5))
+    state = op.sample_state(v, rng)
+    t = state.tangents[:, None]
+    expected = rotate_reference(v[None], state.row_i, state.row_j, t)[0]
+    assert_same_bits(op.apply_state(v, state), expected)
+    assert_same_bits(op.backprop_state(v, state), rotate_reference(v[None], state.row_i, state.row_j, -t)[0])
+
+
+@pytest.mark.parametrize("dim", [3, 7])
+def test_unpaired_coordinate_adds_a_signed_zero(dim):
+    # -0.0 + t * 0 is +0.0 for t > 0; passing the coordinate through as a
+    # copy would keep the sign bit
+    rng = np.random.default_rng(26)
+    x = np.full((4, dim), -0.0)
+    batch = sample_batch_rotation(4, dim, fixed_angle(0.5), rng)
+    out = batch.apply(x)
+    assert not np.signbit(out[np.arange(4), batch.fixed]).any()
+    assert_same_bits(out, rotate_reference(x, batch.row_i, batch.row_j, batch.tangents[:, None]))
+    pairing = sample_pairing(dim, rng)
+    y = apply_rotation(x[0], RotationRealization(pairing, 0.5))
+    assert not np.signbit(y[pairing.fixed])
+
+
+def test_batch_rotation_views_are_read_only():
+    batch = sample_batch_rotation(6, 5, gaussian_tangent(0.5), np.random.default_rng(27))
+    np.testing.assert_array_equal(np.hstack([batch.row_i, batch.row_j, batch.fixed[:, None]]), batch.perm)
+    for view in (batch.row_i, batch.row_j, batch.fixed):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 0
+    assert batch.dim == 5
+
+
+def test_batch_rotation_rejects_a_batch_of_another_size():
+    batch = sample_batch_rotation(6, 4, gaussian_tangent(0.5), np.random.default_rng(28))
+    with pytest.raises(ValueError, match="row rotations"):
+        batch.apply(np.zeros((5, 4)))
+    with pytest.raises(ValueError, match="dimension"):
+        batch.apply(np.zeros((6, 3)))
