@@ -292,6 +292,7 @@ def _rotate(x, perm: np.ndarray, tangent, base=None) -> np.ndarray:
         yp = np.empty_like(xp)
         first, second = yp[:d], yp[d : 2 * d]
         np.add(bp[:d], np.multiply(tb, xp[d : 2 * d], out=first), out=first)
+        # b - t * x_i rounds exactly as b + t * (-x_i)
         np.subtract(bp[d : 2 * d], np.multiply(tb, xp[:d], out=second), out=second)
         if dim % 2:
             yp[-1] = bp[-1] + tb * 0.0
@@ -413,10 +414,9 @@ def apply_featuremap(
             keep[k, ah[k] : ah[k] + bh, aw[k] : aw[k] + bw] = 1.0
         t = t * keep
 
-    mean = x.mean(axis=(0, 2, 3))[None, :, None, None]
     # channels moved last for the kernel, then back: x + t * s(x - mean)
-    last = np.moveaxis(x - mean, 1, -1)
-    out = _rotate(last, _permutation(pairing), t[..., None], base=np.moveaxis(x, 1, -1))
+    last = np.ascontiguousarray(np.moveaxis(x, 1, -1))
+    out = _rotate(last - x.mean(axis=(0, 2, 3)), _permutation(pairing), t[..., None], base=last)
     out = np.ascontiguousarray(np.moveaxis(out, -1, 1))
     return out if batched else out[0]
 
