@@ -368,10 +368,20 @@ class BatchRotation:
 def sample_batch_rotation(
     n: int, dim: int, angles: AngleDistribution, rng: np.random.Generator
 ) -> BatchRotation:
-    """Draw ``n`` independent (pairing, tangent) realizations at once."""
+    """Draw ``n`` independent (pairing, tangent) realizations at once.
+
+    Each row's permutation is the ``argsort`` of D uniform keys.  The keys
+    are drawn and sorted in blocks of rows, which consumes the generator
+    exactly as one (n, D) draw would, so at most one block of float64 keys
+    is alive next to the permutations.
+    """
     if dim < 2:
         raise ValueError("rotation undefined below dimension 2")
-    perm = np.argsort(rng.random((n, dim)), axis=1)
+    perm = np.empty((n, dim), dtype=np.intp)
+    rows = max(1, _BLOCK // dim)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        perm[lo:hi] = np.argsort(rng.random((hi - lo, dim)), axis=1)
     tangents = np.asarray(angles.sample_tangents(n, rng), dtype=np.float64)
     return BatchRotation(perm=perm, tangents=tangents)
 

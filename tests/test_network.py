@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from rotnoise import (
     train,
     train_and_report,
 )
-from rotnoise.network import _BatchNorm, _Dense, _Noise, _Relu
+from rotnoise import network
+from rotnoise.network import _BatchNorm, _Dense, _Noise, _Relu, _workspace
 
 
 def loss_at(model, x, y, cache):
@@ -348,3 +351,166 @@ def test_train_and_report_emits_rows_and_summary():
     assert set(summary) == {"baseline", "rotation"}
     for stats in summary.values():
         assert len(stats["gaps"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the backward pass stops at the lowest parameter layer
+
+
+def full_backward(model, cache, dlogits):
+    """Every layer's pullback, down to the input gradient."""
+    g = np.asarray(dlogits, dtype=np.float64)
+    grads = {}
+    for layer, c in zip(reversed(model.layers), reversed(cache.layer_caches)):
+        g, layer_grads = layer.backward(g, c)
+        grads.update(layer_grads)
+    return grads
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(noise=ROTATION, placement="before-weight"),
+        dict(noise=ROTATION, placement="after-weight", batchnorm=True),
+        dict(activation="none", batchnorm=True),
+    ],
+    ids=["before-weight rotation", "after-weight rotation + bn", "linear + bn"],
+)
+def test_backward_matches_full_pullback(kwargs):
+    model = small_model(**kwargs)
+    x, y = small_batch()
+    logits, cache = model.forward(x, mode="train", rng=np.random.default_rng(2))
+    _, dlogits = softmax_cross_entropy(logits, y)
+    expected = full_backward(model, cache, dlogits)
+    bottom = model.layers[0]
+    if isinstance(bottom, _Noise):
+        # the pullback through a noise layer under the first dense layer is dead work
+        bottom.op.backprop_state = None
+    grads = model.backward(cache, dlogits)
+    assert grads.keys() == expected.keys()
+    for name, g in expected.items():
+        np.testing.assert_array_equal(grads[name], g)
+
+
+# ---------------------------------------------------------------------------
+# train()'s workspace
+
+
+def reference_train(model, x_train, y_train, config, rng, x_val, y_val, record_every):
+    """train() as it was written before the workspace: fresh arrays throughout."""
+    params = model.params()
+    velocity = {name: np.zeros_like(p) for name, p in params.items()}
+    n = x_train.shape[0]
+    history = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            if idx.size < 2:
+                continue
+            logits, cache = model.forward(x_train[idx], mode="train", rng=rng)
+            _, dlogits = softmax_cross_entropy(logits, y_train[idx])
+            grads = full_backward(model, cache, dlogits)
+            for name, p in params.items():
+                g = grads[name]
+                if config.weight_decay and name.endswith(".w"):
+                    g = g + config.weight_decay * p
+                v = velocity[name]
+                v *= config.momentum
+                v -= config.learning_rate * g
+                p += v
+        if epoch == config.epochs or epoch % record_every == 0:
+            accuracy = [
+                float((model.forward(x, mode="eval")[0].argmax(axis=1) == y).mean())
+                for x, y in ((x_train, y_train), (x_val, y_val))
+            ]
+            history.append((epoch, *accuracy))
+    return history
+
+
+STACKS = {
+    "baseline": LayerSpec(16),
+    "rotation": LayerSpec(16, noise=ROTATION),
+    "rotation-bn": LayerSpec(16, noise=ROTATION, noise_placement="after-weight", batchnorm=True),
+}
+
+
+def overfit_setup(stack, n_train=42, n_val=90, seed=0):
+    data_rng = np.random.default_rng(seed)
+    x_tr, y_tr = gaussian_mixture_data(n_train, data_rng, label_noise=0.1)
+    x_va, y_va = gaussian_mixture_data(n_val, data_rng)
+    layer = STACKS[stack]
+    model = build_network(10, [layer, layer], 2, np.random.default_rng(seed + 1))
+    return model, (x_tr, y_tr, x_va, y_va)
+
+
+def held_buffers(model):
+    return [
+        (layer.name, attr)
+        for layer in model.layers
+        for attr in ("eval_out", "grad_w")
+        if getattr(layer, attr, None) is not None
+    ]
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_train_matches_reference_loop_bit_for_bit(stack, weight_decay):
+    # 42 rows in batches of 8 leave a last batch of 2; the validation set
+    # is the larger, so the train-set eval runs on a leading-row view
+    config = TrainConfig(epochs=4, batch_size=8, weight_decay=weight_decay)
+    model, data = overfit_setup(stack)
+    reference, _ = overfit_setup(stack)
+    history = train(model, *data[:2], config, np.random.default_rng(3), *data[2:], record_every=1)
+    expected = reference_train(reference, *data[:2], config, np.random.default_rng(3), *data[2:], 1)
+    assert history == expected
+    for name, p in reference.params().items():
+        np.testing.assert_array_equal(model.params()[name], p)
+    assert held_buffers(model) == []
+
+
+def test_train_releases_its_workspace_when_it_raises():
+    model, (x_tr, y_tr, x_va, y_va) = overfit_setup("rotation-bn")
+    config = TrainConfig(epochs=3, batch_size=8)
+    # the first recorded epoch evaluates a validation set of the wrong width
+    with pytest.raises(ValueError, match="input must have shape"):
+        train(model, x_tr, y_tr, config, np.random.default_rng(4), x_va[:, :4], y_va, record_every=1)
+    assert held_buffers(model) == []
+
+
+def test_eval_results_never_alias_the_workspace():
+    model, (x_tr, y_tr, x_va, _) = overfit_setup("rotation-bn")
+    train(model, x_tr, y_tr, TrainConfig(epochs=1, batch_size=8), np.random.default_rng(5))
+    with _workspace(model, len(x_va)):
+        buffers = [getattr(layer, attr) for layer in model.layers for attr in ("eval_out", "grad_w")
+                   if getattr(layer, attr, None) is not None]
+        first, _ = model.forward(x_va, mode="eval")
+        second, _ = model.forward(x_tr, mode="eval")
+        assert not np.shares_memory(first, second)
+        assert not any(np.shares_memory(out, buf) for out in (first, second) for buf in buffers)
+    assert len(buffers) == 2 * 3 - 1  # three dense layers; the output layer has no eval buffer
+
+
+def test_an_epoch_allocates_no_eval_sized_array(monkeypatch):
+    n_val, width = 2000, 16
+    model, (x_tr, y_tr, x_va, y_va) = overfit_setup("rotation", n_val=n_val)
+    marks = []
+    accuracy = network._accuracy
+
+    def traced_accuracy(model, x, y):
+        result = accuracy(model, x, y)
+        if x is x_va:  # the epoch's last call
+            marks.append(tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(network, "_accuracy", traced_accuracy)
+    tracemalloc.start()
+    try:
+        train(model, x_tr, y_tr, TrainConfig(epochs=4, batch_size=8), np.random.default_rng(6),
+              x_va, y_va, record_every=1)
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == 4
+    growth = [peak - previous for (previous, _), (_, peak) in zip(marks, marks[1:])]
+    assert max(growth) < n_val * width * 8, growth

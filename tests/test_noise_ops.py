@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotnoise import (
     BernoulliDropout,
@@ -134,6 +136,38 @@ def test_nontrivial_noise(any_op):
     x = rng.standard_normal((64, 6)) + 2.0
     out = any_op(x, rng)
     assert np.any(out != x)
+
+
+# fixed-realization contracts of every operator, as properties
+
+CONTRACT_EXAMPLES = settings(derandomize=True, max_examples=4, deadline=None, database=None)
+CONTRACT_OPS = {
+    "bernoulli": ("bernoulli-dropout", st.floats(0.05, 1.0)),
+    "gaussian": ("gaussian-dropout", st.floats(0.0, 4.0)),
+    "uout": ("uout", st.floats(0.0, 2.0)),
+    "rotation": ("rotation", st.floats(0.05, 1.0)),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 256])
+@pytest.mark.parametrize("centered", [False, True], ids=["plain", "centered"])
+@pytest.mark.parametrize("name", sorted(CONTRACT_OPS))
+@CONTRACT_EXAMPLES
+@given(data=st.data(), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_fixed_realization_contracts(name, centered, dim, data, n, seed):
+    kind, strengths = CONTRACT_OPS[name]
+    op = make_noise_op(NoiseOpSpec(kind, data.draw(strengths), centered=centered))
+    rng = np.random.default_rng(seed)
+    x, g = rng.standard_normal((2, n, dim)) + rng.standard_normal((2, 1, dim))
+    state = op.sample_state(x, rng)
+    y, back = op.apply_state(x, state), op.backprop_state(g, state)
+    for out in (y, back):
+        assert out.shape == x.shape and out.dtype == np.float64
+    # <A x, g> == <x, A^T g>; the dot products round at most about
+    # n * D * eps times the sum of the magnitudes of their terms
+    scale = np.abs(y * g).sum() + np.abs(x * back).sum()
+    assert abs(np.vdot(y, g) - np.vdot(x, back)) <= 1e-12 * scale
+    assert op(x, mode="eval").tobytes() == x.tobytes()
 
 
 def test_equivalence_triple_reports_same_keep_rate():

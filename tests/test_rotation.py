@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -622,3 +624,26 @@ def test_batch_rotation_rejects_a_batch_of_another_size():
         batch.apply(np.zeros((5, 4)))
     with pytest.raises(ValueError, match="dimension"):
         batch.apply(np.zeros((6, 3)))
+
+
+@pytest.mark.parametrize("dim", [3, 8, 256])
+def test_sampler_blocks_consume_the_stream_like_one_draw(dim):
+    # three blocks of sort keys plus a remainder
+    n = 3 * (_BLOCK // dim) + 5
+    rng = np.random.default_rng(29)
+    batch = sample_batch_rotation(n, dim, gaussian_tangent(0.5), rng)
+    ref = np.random.default_rng(29)
+    np.testing.assert_array_equal(batch.perm, np.argsort(ref.random((n, dim)), axis=1))
+    np.testing.assert_array_equal(batch.tangents, gaussian_tangent(0.5).sample_tangents(n, ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_sampler_holds_one_block_of_sort_keys():
+    # one (n, D) draw of float64 keys would add 12.8 MB to the 14.4 MB result
+    tracemalloc.start()
+    try:
+        batch = sample_batch_rotation(200_000, 8, gaussian_tangent(0.5), np.random.default_rng(30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < batch.perm.nbytes + batch.tangents.nbytes + 2**20
