@@ -9,12 +9,12 @@ keep-rate equivalence with dropout.
 import numpy as np
 
 from rotnoise import (
+    Pairing,
     RotationRealization,
     apply_rotation,
     apply_rotation_transpose,
     gaussian_tangent,
     keep_rate_for,
-    pairing_from_permutation,
     rotation_matrix,
     sample_batch_rotation,
     sample_pairing,
@@ -25,8 +25,8 @@ from rotnoise import (
 
 rng = np.random.default_rng(0)
 
-# a pairing is the rotation "direction": planes drawn from a permutation
-pairing = pairing_from_permutation([2, 1, 0, 3])
+# a pairing is the rotation "direction": a permutation split into planes
+pairing = Pairing([2, 1, 0, 3])
 print("planes:", pairing.pairs.tolist())
 
 # applying with tan(theta) = 1 mixes each plane's coordinates

@@ -21,7 +21,6 @@ from .rotation import (
     fixed_direction_sequence,
     gaussian_tangent,
     keep_rate_for,
-    pairing_from_permutation,
     rotation_matrix,
     sample_batch_rotation,
     sample_pairing,
@@ -37,7 +36,6 @@ from .noise_ops import (
     NoiseOpSpec,
     RotationOut,
     Uout,
-    apply_spec,
     make_noise_op,
 )
 from .sources import (

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise_ops import BernoulliDropout
+from .rotation import _strength
+
 __all__ = [
     "BatchNormState",
     "bn_train_forward",
@@ -528,7 +531,7 @@ def variance_shift(
         W = sample_sphere_rows(n_rows, mean.size, rng)
     W = np.asarray(W, dtype=np.float64)
 
-    lam = (1.0 - keep_rate) / keep_rate
+    lam = _strength(keep_rate)
     second = cov if centered else cov + np.outer(mean, mean)
     var_test = np.einsum("nd,de,ne->n", W, cov, W)
     if placement == "dropout-a":
@@ -542,15 +545,16 @@ def variance_shift(
         if rng is None:
             raise ValueError("the Monte-Carlo cross-check requires a generator")
         x = source.sample(int(n_mc), rng)
+        # anchored at the source's population mean, not the batch mean
+        # that Centered would subtract
+        dropout = BernoulliDropout(keep_rate)
         if placement == "dropout-a":
             y = x @ W.T
             anchor = (W @ mean) if centered else np.zeros(W.shape[0])
-            mask = rng.random(y.shape) < keep_rate
-            noised = anchor + (y - anchor) * mask / keep_rate
+            noised = anchor + dropout(y - anchor, rng)
         else:
             anchor = mean if centered else np.zeros(mean.size)
-            mask = rng.random(x.shape) < keep_rate
-            noised = (anchor + (x - anchor) * mask / keep_rate) @ W.T
+            noised = (anchor + dropout(x - anchor, rng)) @ W.T
         mc_var = noised.var(axis=0, ddof=1)
 
     return ShiftReport(placement, centered, keep_rate, var_train, var_test, ratio, mc_var)

@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__
 from .batchnorm import (
     cross_normalization_curve,
-    evaluate_odd_poly,
     fit_poly_correction,
     mc_nonlinearity_curve,
     noise_budget,
@@ -78,7 +77,6 @@ def _bool(text) -> bool:
 _GLOBAL = {
     "seed": (int, 0, "random seed recorded in the manifest"),
     "out": (str, None, "output directory (default: $ROTNOISE_OUTDIR or ./rotnoise-results)"),
-    "plot": (_bool, False, "also render PNG plots from the CSV outputs"),
 }
 
 _SCHEMAS: dict[str, dict] = {
@@ -117,7 +115,6 @@ _SCHEMAS: dict[str, dict] = {
         "source": (str, "relu-random", "relu-random | relu-equicorr | gaussian-equicorr"),
         "rho": (float, 0.3, "correlation parameter of the equicorrelated sources"),
         "centered": (_bool, False, "center the features the noise sees"),
-        "mc": (float, 0, "optional Monte-Carlo cross-check draws"),
     },
     "bn-curve": {
         "batch": (int, 8, "batch size"),
@@ -233,25 +230,6 @@ def _write_manifest(outdir: Path, command: str, merged: dict) -> None:
         fh.write("\n")
 
 
-def _maybe_plot(merged: dict, outdir: Path, name: str, x, ys: dict, xlabel: str) -> None:
-    if not merged.get("plot"):
-        return
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as err:
-        raise ConfigError("config key 'plot' requires matplotlib to be installed") from err
-    fig, ax = plt.subplots(figsize=(6, 4))
-    for label, y in ys.items():
-        ax.plot(x, y, label=label)
-    ax.set_xlabel(xlabel)
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(outdir / f"{name}.png", dpi=120)
-    plt.close(fig)
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -358,7 +336,6 @@ def _run_angle_demo(merged: dict, outdir: Path, rng: np.random.Generator):
     curve = margin_flip_curve(w, gaussian_tangent(merged["sigma"]), int(merged["flip_samples"]), rng)
     rows = [tuple(map(float, row)) for row in curve]
     _write_csv(outdir / "margin_flip.csv", ["margin", "flip_rate", "stderr"], rows)
-    _maybe_plot(merged, outdir, "margin_flip", curve[:, 0], {"flip rate": curve[:, 1]}, "margin")
 
 
 def _run_var_shift(merged: dict, outdir: Path, rng: np.random.Generator):
@@ -375,7 +352,7 @@ def _run_var_shift(merged: dict, outdir: Path, rng: np.random.Generator):
     for placement in ("dropout-a", "dropout-b"):
         report = variance_shift(
             placement, merged["centered"], merged["keep_rate"], source,
-            n_rows=merged["rows"], n_mc=int(merged["mc"]), rng=rng,
+            n_rows=merged["rows"], rng=rng,
         )
         for unit in range(report.ratio.size):
             rows.append((
@@ -399,8 +376,6 @@ def _run_bn_curve(merged: dict, outdir: Path, rng: np.random.Generator):
     ]
     _write_csv(outdir / "bn_curve.csv",
                ["dist", "B", "x_test", "f_expect", "f_var", "stderr"], rows)
-    _maybe_plot(merged, outdir, "bn_curve", curve.x_test,
-                {"f_expect": curve.f_expect, "f_var": curve.f_var}, "test-mode value")
 
 
 def _run_bn_poly(merged: dict, outdir: Path, rng: np.random.Generator):
@@ -412,10 +387,6 @@ def _run_bn_poly(merged: dict, outdir: Path, rng: np.random.Generator):
     _write_csv(outdir / "bn_poly.csv",
                ["B", "a1", "a3", "a5", "a7", "rmse"],
                [(merged["batch"], fit.a1, fit.a3, fit.a5, fit.a7, fit.rmse)])
-    _maybe_plot(merged, outdir, "bn_poly", curve.x_test,
-                {"f_expect": curve.f_expect,
-                 "poly fit": evaluate_odd_poly(fit.coeffs, curve.x_test)},
-                "test-mode value")
 
 
 def _run_cn_check(merged: dict, outdir: Path, rng: np.random.Generator):
@@ -434,8 +405,6 @@ def _run_cn_check(merged: dict, outdir: Path, rng: np.random.Generator):
     ]
     _write_csv(outdir / "cn_linearity.csv",
                ["x1", "mean_output", "stderr", "fit_residual"], rows)
-    _maybe_plot(merged, outdir, "cn_linearity", grid,
-                {"mean output": means, "affine fit": design @ coef}, "held input value")
 
 
 def _run_noise_budget(merged: dict, outdir: Path, rng: np.random.Generator):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise_ops import NoiseOpSpec, make_noise_op
+from .rotation import _strength
 
 __all__ = [
     "CovStats",
@@ -79,12 +80,6 @@ def coadaptation(stats: CovStats) -> float:
     rescaling of the covariance.
     """
     return _coadaptation_of(stats.cov)
-
-
-def _strength(keep_rate: float) -> float:
-    if not 0.0 < keep_rate <= 1.0:
-        raise ValueError("keep rate must lie in (0, 1]")
-    return (1.0 - keep_rate) / keep_rate
 
 
 def conditional_noise_covariance(x, method: str, keep_rate: float) -> np.ndarray:

@@ -15,12 +15,12 @@ import numpy as np
 
 from .rotation import (
     AngleDistribution,
-    apply_featuremap,
-    fixed_direction_sequence,
+    _keep_rate,
+    _strength,
+    fixed_angle,
     gaussian_tangent,
     keep_rate_for,
     sample_batch_rotation,
-    uniform_angle_for_keep_rate,
 )
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "Centered",
     "NoiseOpSpec",
     "make_noise_op",
-    "apply_spec",
 ]
 
 
@@ -87,8 +86,7 @@ class BernoulliDropout(_Multiplicative):
     keep_rate: float
 
     def __post_init__(self):
-        if not 0.0 < self.keep_rate <= 1.0:
-            raise ValueError("keep rate must lie in (0, 1]")
+        _strength(self.keep_rate)
 
     def _multiplier(self, shape, rng):
         return (rng.random(shape) < self.keep_rate) / self.keep_rate
@@ -113,7 +111,7 @@ class GaussianDropout(_Multiplicative):
 
     @property
     def equivalent_keep_rate(self) -> float:
-        return 1.0 / (1.0 + self.sigma2)
+        return _keep_rate(self.sigma2)
 
 
 @dataclass
@@ -131,7 +129,7 @@ class Uout(_Multiplicative):
 
     @property
     def equivalent_keep_rate(self) -> float:
-        return 1.0 / (1.0 + self.beta**2 / 3.0)
+        return _keep_rate(self.beta**2 / 3.0)
 
 
 @dataclass
@@ -202,94 +200,44 @@ class Centered(NoiseOp):
 # declarative construction
 
 
-_KINDS = ("rotation", "rotation-block", "bernoulli-dropout", "gaussian-dropout", "uout")
-_PLACEMENTS = ("dense", "featuremap", "sequence")
-_ANGLE_KINDS = ("gaussian-tangent", "uniform-angle", "fixed")
+_KINDS = ("rotation", "bernoulli-dropout", "gaussian-dropout", "uout")
 
 
 @dataclass(frozen=True)
 class NoiseOpSpec:
-    """Declarative description of a noise op, constructible from config.
+    """Declarative description of a dense noise op, constructible from config.
 
     ``strength`` is the keep rate p for the bernoulli and rotation kinds
-    (rotation tangents are matched through (1 - p)/p = E tan^2 theta using
-    ``angle_kind``), the multiplier variance sigma^2 for gaussian dropout,
-    and the half-width beta for uout.  ``centered`` is a dense-placement
-    option: feature-map rotation always centers its channels, and the
-    other structured placements never do, so it is rejected there.
+    (rotation tangents are gaussian, matched through (1 - p)/p = E tan^2
+    theta), the multiplier variance sigma^2 for gaussian dropout, and the
+    half-width beta for uout.  ``centered`` wraps the op in ``Centered``.
+    The paper's conv and recurrent variants are ``apply_featuremap`` and
+    ``fixed_direction_sequence``.
     """
 
     kind: str
     strength: float
     centered: bool = False
-    placement: str = "dense"
-    angle_kind: str = "gaussian-tangent"
-    block: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown noise kind: {self.kind!r}")
-        if self.placement not in _PLACEMENTS:
-            raise ValueError(f"unknown placement: {self.placement!r}")
-        if self.angle_kind not in _ANGLE_KINDS:
-            raise ValueError(f"unknown angle kind: {self.angle_kind!r}")
-        if self.centered and self.placement != "dense":
-            raise ValueError(f"centered applies to the dense placement only, not {self.placement!r}")
-        if self.kind == "rotation-block" and self.placement != "featuremap":
-            raise ValueError("block rotation is only defined on feature maps")
-        if self.kind == "rotation-block" and self.block is None:
-            raise ValueError("block rotation requires block extents (bh, bw)")
-        if self.kind in ("rotation", "rotation-block", "bernoulli-dropout"):
-            if not 0.0 < self.strength <= 1.0:
-                raise ValueError("keep rate must lie in (0, 1]")
+        if self.kind in ("rotation", "bernoulli-dropout"):
+            _strength(self.strength)
         elif not 0.0 <= self.strength < np.inf:
             raise ValueError(f"strength must be finite and nonnegative, got {self.strength}")
 
-    def angle_distribution(self) -> AngleDistribution:
-        if self.kind not in ("rotation", "rotation-block"):
-            raise ValueError("only rotation kinds carry an angle distribution")
-        lam = (1.0 - self.strength) / self.strength
-        if lam == 0.0:
-            # keep rate 1 is the no-noise limit: identity rotations
-            return AngleDistribution("fixed", 0.0)
-        if self.angle_kind == "gaussian-tangent":
-            return gaussian_tangent(np.sqrt(lam))
-        if self.angle_kind == "uniform-angle":
-            return uniform_angle_for_keep_rate(self.strength)
-        return AngleDistribution("fixed", float(np.arctan(np.sqrt(lam))))
-
 
 def make_noise_op(spec: NoiseOpSpec) -> NoiseOp:
-    """Instantiate the dense-placement operator described by ``spec``."""
-    if spec.placement != "dense":
-        raise ValueError(
-            "only dense placement builds a NoiseOp; use apply_featuremap or "
-            "fixed_direction_sequence for the structured placements"
-        )
+    """Instantiate the operator described by ``spec``."""
     if spec.kind == "bernoulli-dropout":
         op: NoiseOp = BernoulliDropout(spec.strength)
     elif spec.kind == "gaussian-dropout":
         op = GaussianDropout(spec.strength)
     elif spec.kind == "uout":
         op = Uout(spec.strength)
-    elif spec.kind == "rotation":
-        op = RotationOut(spec.angle_distribution())
     else:
-        raise ValueError("block rotation is only defined on feature maps")
+        lam = _strength(spec.strength)
+        # keep rate 1 is the no-noise limit: identity rotations
+        op = RotationOut(gaussian_tangent(np.sqrt(lam)) if lam else fixed_angle(0.0))
     return Centered(op) if spec.centered else op
-
-
-def apply_spec(spec: NoiseOpSpec, x, rng: np.random.Generator, mode: str = "train"):
-    """Run any placement of ``spec`` on ``x`` (feature maps and sequences too)."""
-    if mode == "eval":
-        return x if spec.placement == "sequence" else np.asarray(x, dtype=np.float64)
-    if spec.placement == "dense":
-        return make_noise_op(spec)(x, rng, mode)
-    if spec.placement == "featuremap":
-        if spec.kind in ("rotation", "rotation-block"):
-            return apply_featuremap(x, spec.angle_distribution(), rng, block=spec.block)
-        return make_noise_op(NoiseOpSpec(spec.kind, spec.strength))(x, rng, mode)
-    if spec.kind == "rotation":
-        return fixed_direction_sequence(x, spec.angle_distribution(), rng)
-    op = make_noise_op(NoiseOpSpec(spec.kind, spec.strength))
-    return [op(step, rng, mode) for step in x]

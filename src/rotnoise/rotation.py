@@ -13,9 +13,11 @@ which is what distinguishes this operator from elementwise dropout noise.
 
 A realization is stored as a permutation of the D coordinates: its first
 D // 2 entries are paired with the next D // 2, and for odd D the last
-entry is the unpaired coordinate.  ``BatchRotation`` keeps one such
-permutation per row (the one ``sample_batch_rotation`` draws with
-``argsort``); a ``Pairing`` is the same permutation split into planes.
+entry is the unpaired coordinate.  A ``Pairing`` stores the one
+permutation that ``sample_pairing`` draws, shared by every row it is
+applied to; ``BatchRotation`` keeps one per row (the ones
+``sample_batch_rotation`` draws with ``argsort``).  Both expose their planes
+and unpaired coordinate as read-only views of the stored permutation.
 
 One private kernel applies both forms.  It walks the rows in blocks of
 about 2**15 elements, so its temporaries stay in cache; per block it
@@ -42,7 +44,6 @@ __all__ = [
     "keep_rate_for",
     "uniform_angle_for_keep_rate",
     "sample_pairing",
-    "pairing_from_permutation",
     "rotation_matrix",
     "apply_rotation",
     "apply_rotation_transpose",
@@ -132,12 +133,24 @@ def second_moment_of_tangent(dist: AngleDistribution) -> float:
     return float(np.tan(width) / width - 1.0)
 
 
+def _strength(keep_rate: float) -> float:
+    """The noise strength lam = (1 - p) / p of a keep rate p in (0, 1]."""
+    if not 0.0 < keep_rate <= 1.0:
+        raise ValueError("keep rate must lie in (0, 1]")
+    return (1.0 - keep_rate) / keep_rate
+
+
+def _keep_rate(strength: float) -> float:
+    """The keep rate p = 1 / (1 + lam) of a noise strength lam >= 0."""
+    return 1.0 / (1.0 + strength)
+
+
 def keep_rate_for(dist: AngleDistribution) -> float:
     """Keep rate p of the Bernoulli dropout with matching multiplier variance.
 
     Strengths are matched through (1 - p) / p = E[tan(theta)^2].
     """
-    return 1.0 / (1.0 + second_moment_of_tangent(dist))
+    return _keep_rate(second_moment_of_tangent(dist))
 
 
 def uniform_angle_for_keep_rate(keep_rate: float, tol: float = 1e-12) -> AngleDistribution:
@@ -148,7 +161,7 @@ def uniform_angle_for_keep_rate(keep_rate: float, tol: float = 1e-12) -> AngleDi
     """
     if not 0.0 < keep_rate < 1.0:
         raise ValueError("keep rate must lie in (0, 1) to invert")
-    target = (1.0 - keep_rate) / keep_rate
+    target = _strength(keep_rate)
     lo, hi = 1e-9, _HALF_PI - 1e-9
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -165,42 +178,38 @@ def uniform_angle_for_keep_rate(keep_rate: float, tol: float = 1e-12) -> AngleDi
 
 @dataclass(frozen=True)
 class Pairing:
-    """Partition of ``dim`` coordinates into ordered planes.
+    """Partition of D coordinates into ordered planes, stored as a permutation.
 
-    ``pairs`` has shape (d, 2); for odd ``dim`` exactly one coordinate is
-    left out of every plane and recorded in ``fixed``.
+    ``perm`` is a permutation of 0..D-1: its first D // 2 entries are paired
+    with the next D // 2, and for odd D the last entry is left out of every
+    plane.  ``pairs`` (shape (D // 2, 2)), ``fixed`` (None for even D) and
+    ``dim`` are read-only views of it.
     """
 
-    pairs: np.ndarray
-    fixed: int | None
-    dim: int
+    perm: np.ndarray
 
     def __post_init__(self):
-        pairs = np.asarray(self.pairs, dtype=np.intp).reshape(-1, 2)
-        object.__setattr__(self, "pairs", pairs)
-        if self.dim < 2 or len(pairs) == 0:
+        perm = np.asarray(self.perm)
+        if perm.ndim != 1 or perm.dtype.kind not in "iu" or np.any(np.sort(perm) != np.arange(perm.size)):
+            raise ValueError("pairing must hold every coordinate 0..D-1 exactly once")
+        if perm.size < 2:
             raise ValueError("rotation undefined below dimension 2")
-        if (self.fixed is None) != (self.dim % 2 == 0):
-            raise ValueError("fixed coordinate is present exactly when dim is odd")
-        used = pairs.ravel().tolist()
-        if self.fixed is not None:
-            used.append(int(self.fixed))
-        if sorted(used) != list(range(self.dim)):
-            raise ValueError("pairing must cover every coordinate exactly once")
+        perm = perm.astype(np.intp)
+        perm.flags.writeable = False
+        object.__setattr__(self, "perm", perm)
 
+    @property
+    def dim(self) -> int:
+        return self.perm.size
 
-def pairing_from_permutation(perm) -> Pairing:
-    """Build the pairing induced by a permutation of 0..D-1.
+    @property
+    def pairs(self) -> np.ndarray:
+        d = self.dim // 2
+        return self.perm[: 2 * d].reshape(2, d).T
 
-    The first half of the permutation is paired with the second half
-    elementwise; for odd length the trailing entry is the fixed coordinate.
-    """
-    perm = np.asarray(perm, dtype=np.intp)
-    dim = perm.size
-    d = dim // 2
-    fixed = int(perm[-1]) if dim % 2 else None
-    pairs = np.stack([perm[:d], perm[d : 2 * d]], axis=1)
-    return Pairing(pairs=pairs, fixed=fixed, dim=dim)
+    @property
+    def fixed(self) -> int | None:
+        return int(self.perm[-1]) if self.dim % 2 else None
 
 
 def sample_pairing(dim: int, rng: np.random.Generator) -> Pairing:
@@ -209,9 +218,7 @@ def sample_pairing(dim: int, rng: np.random.Generator) -> Pairing:
     The draw is induced by a uniform permutation, so every coordinate is
     equally likely to be the fixed one when ``dim`` is odd.
     """
-    if dim < 2:
-        raise ValueError("rotation undefined below dimension 2")
-    return pairing_from_permutation(rng.permutation(dim))
+    return Pairing(rng.permutation(dim))
 
 
 @dataclass(frozen=True)
@@ -300,15 +307,9 @@ def _rotate(x, perm: np.ndarray, tangent, base=None) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _permutation(pairing: Pairing) -> np.ndarray:
-    """The permutation that induces ``pairing`` (see pairing_from_permutation)."""
-    perm = pairing.pairs.T.ravel()
-    return perm if pairing.fixed is None else np.append(perm, pairing.fixed)
-
-
 def apply_rotation(x, realization: RotationRealization) -> np.ndarray:
     """Apply one rotation realization along the last axis of ``x`` in O(D)."""
-    return _rotate(x, _permutation(realization.pairing), realization.tangent)
+    return _rotate(x, realization.pairing.perm, realization.tangent)
 
 
 def apply_rotation_transpose(g, realization: RotationRealization) -> np.ndarray:
@@ -317,7 +318,7 @@ def apply_rotation_transpose(g, realization: RotationRealization) -> np.ndarray:
     Identical to applying the same pairing with the tangent negated, so
     <R x, g> == <x, R^T g> holds for all x, g.
     """
-    return _rotate(g, _permutation(realization.pairing), -realization.tangent)
+    return _rotate(g, realization.pairing.perm, -realization.tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,7 @@ def apply_featuremap(
 
     # channels moved last for the kernel, then back: x + t * s(x - mean)
     last = np.ascontiguousarray(np.moveaxis(x, 1, -1))
-    out = _rotate(last - x.mean(axis=(0, 2, 3)), _permutation(pairing), t[..., None], base=last)
+    out = _rotate(last - x.mean(axis=(0, 2, 3)), pairing.perm, t[..., None], base=last)
     out = np.ascontiguousarray(np.moveaxis(out, -1, 1))
     return out if batched else out[0]
 
@@ -445,5 +446,5 @@ def fixed_direction_sequence(xs, angles, rng: np.random.Generator) -> list[np.nd
     dim = xs[0].shape[-1]
     for x in xs:
         _check_dim(x, dim)
-    perm = _permutation(sample_pairing(dim, rng))
+    perm = sample_pairing(dim, rng).perm
     return [_rotate(x, perm, float(angles.sample_tangents((), rng))) for x in xs]

@@ -530,6 +530,27 @@ def test_gaussian_source_cross_check():
     np.testing.assert_allclose(report.mc_var_train, report.var_train, rtol=0.05)
 
 
+def test_monte_carlo_cross_check_keeps_the_inline_mask_draws():
+    # the cross-check noises (features - anchor) with BernoulliDropout: its
+    # masks are the draws rng.random(shape) < p of the inline formula it
+    # replaced, and only the rounding moves, from (y - a) * m / p to
+    # (y - a) * (m / p), by at most an ulp per entry
+    source, p, n = relu_features(6), 0.6, 1000
+    w = sample_sphere_rows(5, 6, np.random.default_rng(28))
+    for placement in ("dropout-a", "dropout-b"):
+        for centered in (False, True):
+            rng, ref_rng = np.random.default_rng(29), np.random.default_rng(29)
+            report = variance_shift(placement, centered, p, source, W=w, n_mc=n, rng=rng)
+            x = source.sample(n, ref_rng)
+            y, anchor = (x @ w.T, w @ source.mean) if placement == "dropout-a" else (x, source.mean)
+            anchor = anchor if centered else np.zeros_like(anchor)
+            noised = anchor + (y - anchor) * (ref_rng.random(y.shape) < p) / p
+            if placement == "dropout-b":
+                noised = noised @ w.T
+            np.testing.assert_allclose(report.mc_var_train, noised.var(axis=0, ddof=1), rtol=1e-12)
+            assert rng.random() == ref_rng.random()
+
+
 def test_variance_shift_validation():
     rng = np.random.default_rng(27)
     with pytest.raises(ValueError, match="placement"):

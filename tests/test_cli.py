@@ -211,11 +211,10 @@ def test_outdir_env_var(tmp_path, monkeypatch):
     assert (target / "noise_budget.csv").exists()
 
 
-def test_plot_flag_renders_png(tmp_path):
-    pytest.importorskip("matplotlib")
-    code = run([
-        "bn-curve", "--samples", "1000", "--grid-max", "1.0", "--grid-step", "0.5",
-        "--plot", "--out", str(tmp_path),
-    ])
-    assert code == 0
-    assert (tmp_path / "bn_curve.png").exists()
+@pytest.mark.parametrize("command, flag", [("bn-curve", "--plot"), ("var-shift", "--mc")])
+def test_removed_keys_are_rejected(tmp_path, command, flag):
+    with pytest.raises(SystemExit):
+        run([command, flag, "1", "--out", str(tmp_path)])
+    key = flag.lstrip("-")
+    with pytest.raises(ConfigError, match=key):
+        merge_config(command, {key: 1}, {})

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from rotnoise import (
@@ -10,7 +10,6 @@ from rotnoise import (
     NoiseOpSpec,
     RotationOut,
     Uout,
-    apply_spec,
     gaussian_tangent,
     make_noise_op,
 )
@@ -140,7 +139,11 @@ def test_nontrivial_noise(any_op):
 
 # fixed-realization contracts of every operator, as properties
 
-CONTRACT_EXAMPLES = settings(derandomize=True, max_examples=4, deadline=None, database=None)
+# no shrink phase: a failing example is reported as drawn, at once
+CONTRACT_EXAMPLES = settings(
+    derandomize=True, max_examples=4, deadline=None, database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
 CONTRACT_OPS = {
     "bernoulli": ("bernoulli-dropout", st.floats(0.05, 1.0)),
     "gaussian": ("gaussian-dropout", st.floats(0.0, 4.0)),
@@ -229,10 +232,6 @@ def test_spec_validation():
         NoiseOpSpec("spatial", 0.5)
     with pytest.raises(ValueError, match="keep rate"):
         NoiseOpSpec("rotation", 0.0)
-    with pytest.raises(ValueError, match="placement"):
-        NoiseOpSpec("uout", 0.5, placement="recurrent")
-    with pytest.raises(ValueError, match="feature maps"):
-        NoiseOpSpec("rotation-block", 0.9, placement="dense")
 
 
 @pytest.mark.parametrize(
@@ -250,24 +249,10 @@ def test_non_finite_strength_rejected(build, name, value):
         build(value)
 
 
-@pytest.mark.parametrize("placement", ["featuremap", "sequence"])
-@pytest.mark.parametrize("kind", ["rotation", "bernoulli-dropout", "uout"])
-def test_spec_rejects_centered_outside_dense_placement(kind, placement):
-    # feature-map rotation always centers and sequences never do, so the
-    # flag would be silently ignored there
-    with pytest.raises(ValueError, match="centered"):
-        NoiseOpSpec(kind, 0.5, centered=True, placement=placement)
-
-
 def test_spec_roundtrip_keep_rate():
     for kind, strength in [("bernoulli-dropout", 0.8), ("rotation", 0.8), ("gaussian-dropout", 0.25)]:
         op = make_noise_op(NoiseOpSpec(kind, strength))
         assert op.equivalent_keep_rate == pytest.approx(0.8)
-
-
-def test_spec_uniform_angle_kind_roundtrip():
-    op = make_noise_op(NoiseOpSpec("rotation", 0.8, angle_kind="uniform-angle"))
-    assert op.equivalent_keep_rate == pytest.approx(0.8, abs=1e-9)
 
 
 def test_rotation_spec_at_keep_rate_one_is_identity():
@@ -280,31 +265,3 @@ def test_rotation_spec_at_keep_rate_one_is_identity():
 def test_spec_centered_flag_wraps():
     op = make_noise_op(NoiseOpSpec("bernoulli-dropout", 0.5, centered=True))
     assert isinstance(op, Centered)
-
-
-def test_apply_spec_featuremap_and_sequence():
-    rng = np.random.default_rng(13)
-    fmap = rng.standard_normal((4, 6, 5, 5))
-    spec = NoiseOpSpec("rotation", 0.8, placement="featuremap")
-    out = apply_spec(spec, fmap, rng)
-    assert out.shape == fmap.shape
-    assert np.any(out != fmap)
-
-    block_spec = NoiseOpSpec("rotation-block", 0.8, placement="featuremap", block=(2, 2))
-    out = apply_spec(block_spec, fmap, rng)
-    assert out.shape == fmap.shape
-
-    steps = [rng.standard_normal(6) for _ in range(3)]
-    seq_spec = NoiseOpSpec("rotation", 0.8, placement="sequence")
-    outs = apply_spec(seq_spec, steps, rng)
-    assert len(outs) == 3
-
-    drop_seq = apply_spec(NoiseOpSpec("bernoulli-dropout", 0.9, placement="sequence"), steps, rng)
-    assert len(drop_seq) == 3
-
-
-def test_apply_spec_eval_is_identity():
-    rng = np.random.default_rng(14)
-    fmap = rng.standard_normal((2, 4, 3, 3))
-    spec = NoiseOpSpec("rotation", 0.8, placement="featuremap")
-    np.testing.assert_array_equal(apply_spec(spec, fmap, rng, mode="eval"), fmap)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from rotnoise import (
@@ -17,14 +17,13 @@ from rotnoise import (
     fixed_direction_sequence,
     gaussian_tangent,
     keep_rate_for,
-    pairing_from_permutation,
     sample_batch_rotation,
     sample_pairing,
     second_moment_of_tangent,
     uniform_angle,
     uniform_angle_for_keep_rate,
 )
-from rotnoise.rotation import _BLOCK, Pairing
+from rotnoise.rotation import _BLOCK, Pairing, _keep_rate, _strength
 
 
 def centered_rotation(x, angles, rng):
@@ -78,7 +77,7 @@ def dense_oracle(pairing, theta):
 
 def test_pairing_from_permutation_matches_worked_example():
     # permutation [3,2,1,4] in 1-indexed notation pairs (3,1) and (2,4)
-    pairing = pairing_from_permutation([2, 1, 0, 3])
+    pairing = Pairing([2, 1, 0, 3])
     assert pairing.pairs.tolist() == [[2, 0], [1, 3]]
     assert pairing.fixed is None
 
@@ -97,12 +96,22 @@ def test_pairing_rejects_dim_below_two():
 
 
 def test_pairing_validation():
-    with pytest.raises(ValueError, match="exactly once"):
-        Pairing(pairs=np.array([[0, 1], [1, 2]]), fixed=None, dim=4)
-    with pytest.raises(ValueError, match="odd"):
-        Pairing(pairs=np.array([[0, 1]]), fixed=1, dim=2)
-    with pytest.raises(ValueError, match="odd"):
-        Pairing(pairs=np.array([[0, 1]]), fixed=None, dim=3)
+    for perm in ([0, 1, 1, 3], [0, 1, 2, 4], [0, 2], [[0, 1], [2, 3]], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="exactly once"):
+            Pairing(perm)
+    with pytest.raises(ValueError, match="below dimension 2"):
+        Pairing([0])
+
+
+def test_pairing_views_are_read_only():
+    source = np.array([4, 2, 0, 1, 3])
+    pairing = Pairing(source)
+    source[0] = 0  # the pairing holds its own copy
+    assert pairing.pairs.tolist() == [[4, 0], [2, 1]]
+    assert pairing.fixed == 3 and pairing.dim == 5
+    for view in (pairing.perm, pairing.pairs):
+        with pytest.raises(ValueError):
+            view[0] = 0
 
 
 def test_odd_dim_fixed_coordinate_is_uniform():
@@ -117,7 +126,7 @@ def test_odd_dim_fixed_coordinate_is_uniform():
 
 
 def test_apply_matches_worked_example():
-    pairing = pairing_from_permutation([2, 1, 0, 3])
+    pairing = Pairing([2, 1, 0, 3])
     out = apply_rotation([1.0, 2.0, 3.0, 4.0], RotationRealization(pairing, 1.0))
     np.testing.assert_allclose(out, [-2.0, 6.0, 4.0, 2.0], atol=0)
 
@@ -130,7 +139,7 @@ def test_zero_tangent_is_identity():
 
 
 def test_norm_scaling_worked_example():
-    pairing = pairing_from_permutation([2, 1, 0, 3])
+    pairing = Pairing([2, 1, 0, 3])
     out = apply_rotation([1.0, 2.0, 3.0, 4.0], RotationRealization(pairing, 1.0))
     assert out @ out == pytest.approx(60.0, abs=1e-12)
 
@@ -151,7 +160,7 @@ def test_matches_dense_oracle(dim):
 def test_transpose_worked_example():
     # value fixed by the dense oracle's transpose; the adjoint identity
     # <Rx, g> = <x, R^T g> pins the sign of the third entry
-    pairing = pairing_from_permutation([2, 1, 0, 3])
+    pairing = Pairing([2, 1, 0, 3])
     real = RotationRealization(pairing, 1.0)
     out = apply_rotation_transpose([1.0, 0.0, 0.0, 0.0], real)
     oracle = dense_oracle(pairing, np.pi / 4).T @ np.array([1.0, 0.0, 0.0, 0.0])
@@ -166,13 +175,14 @@ def test_transpose_zero_tangent_is_identity():
     np.testing.assert_array_equal(apply_rotation_transpose(g, RotationRealization(pairing, 0.0)), g)
 
 
-def test_adjoint_identity_random():
+@pytest.mark.parametrize("dim", [2, 3, 7, 16])
+def test_adjoint_identity_random(dim):
     rng = np.random.default_rng(4)
     for _ in range(50):
-        pairing = sample_pairing(16, rng)
+        pairing = sample_pairing(dim, rng)
         real = RotationRealization(pairing, float(rng.standard_normal()))
-        x = rng.standard_normal(16)
-        g = rng.standard_normal(16)
+        x = rng.standard_normal(dim)
+        g = rng.standard_normal(dim)
         lhs = apply_rotation(x, real) @ g
         rhs = x @ apply_rotation_transpose(g, real)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
@@ -195,7 +205,7 @@ def test_transpose_roundtrip_recovers_input():
 
 
 def test_dimension_mismatch_errors():
-    pairing = pairing_from_permutation([0, 1, 2, 3])
+    pairing = Pairing([0, 1, 2, 3])
     real = RotationRealization(pairing, 0.3)
     with pytest.raises(ValueError, match="dimension"):
         apply_rotation(np.zeros(5), real)
@@ -259,7 +269,7 @@ def test_batch_rotation_rows_match_single_realizations(dim):
         perm = np.concatenate([batch.row_i[r], batch.row_j[r]])
         if batch.fixed is not None:
             perm = np.append(perm, batch.fixed[r])
-        real = RotationRealization(pairing_from_permutation(perm), batch.tangents[r])
+        real = RotationRealization(Pairing(perm), batch.tangents[r])
         np.testing.assert_array_equal(fwd[r], apply_rotation(x[r], real))
         np.testing.assert_array_equal(bwd[r], apply_rotation_transpose(x[r], real))
 
@@ -301,6 +311,15 @@ def test_keep_rates_match_tabled_strengths():
     assert keep_rate_for(gaussian_tangent(0.333)) == pytest.approx(0.9002, abs=5e-5)
     assert keep_rate_for(gaussian_tangent(0.816)) == pytest.approx(1 / (1 + 0.816**2), abs=1e-12)
     assert keep_rate_for(fixed_angle(0.0)) == 1.0
+
+
+def test_keep_rate_and_strength_are_inverse():
+    for p in (0.05, 0.5, 0.8, 0.95, 1.0):
+        assert _keep_rate(_strength(p)) == pytest.approx(p, rel=1e-15)
+    assert _strength(1.0) == 0.0 and _keep_rate(0.0) == 1.0
+    for p in (0.0, -0.5, 1.5, np.nan):
+        with pytest.raises(ValueError, match="keep rate"):
+            _strength(p)
 
 
 @pytest.mark.parametrize("keep_rate", [0.6, 0.8, 0.95])
@@ -479,7 +498,11 @@ def test_sequence_single_step_matches_dense_rotation():
 # ---------------------------------------------------------------------------
 # the blocked permutation kernel against the fancy-indexing reference
 
-KERNEL_EXAMPLES = settings(derandomize=True, max_examples=5, deadline=None, database=None)
+# no shrink phase: a failing example is reported as drawn, at once
+KERNEL_EXAMPLES = settings(
+    derandomize=True, max_examples=5, deadline=None, database=None,
+    phases=(Phase.explicit, Phase.generate),
+)
 KERNEL_DIMS = (2, 3, 7, 8, 256)
 kernel_layouts = pytest.mark.parametrize("layout", ["contiguous", "broadcast", "column-slice"])
 kernel_dims = pytest.mark.parametrize("dim", KERNEL_DIMS)
