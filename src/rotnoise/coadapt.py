@@ -5,6 +5,10 @@ the off-diagonal covariance relative to the total variance.  The closed
 forms below give the conditional and total covariance of dropout and
 rotation noise, from which the co-adaptation reduction factors follow;
 ``verify_reduction`` checks them against Monte-Carlo sample covariances.
+
+The noise law lives in one place, ``_noise_moment``, which ``linreg``'s
+marginalized systems call too; it reads the rotation pair rate from
+``_pair_rate``.
 """
 
 from __future__ import annotations
@@ -82,6 +86,32 @@ def coadaptation(stats: CovStats) -> float:
     return _coadaptation_of(stats.cov)
 
 
+def _pair_rate(dim: int) -> float:
+    """Rate at which the rotation sampler pairs two given coordinates.
+
+    1 / (D - 1) when every coordinate is paired (even D).  The odd-D sampler
+    leaves one coordinate out per draw and pairs at 1 / D; the closed forms
+    built on this rate do not follow that yet.
+    """
+    if dim < 2:
+        raise ValueError("rotation undefined below dimension 2")
+    return 1.0 / (dim - 1)
+
+
+def _noise_moment(second: np.ndarray, method: str, lam: float) -> np.ndarray:
+    """E[(y - x)(y - x)^T] of the noised y, given S = E[x x^T] (``second``).
+
+    dropout:   lam * diag(S)
+    rotation:  lam * r * (trace(S) I - S), with r = ``_pair_rate(D)``
+    """
+    if method == "dropout":
+        return lam * np.diag(np.diag(second))
+    if method == "rotation":
+        d = second.shape[0]
+        return lam * _pair_rate(d) * (np.trace(second) * np.eye(d) - second)
+    raise ValueError(f"method must be one of {_METHODS}")
+
+
 def conditional_noise_covariance(x, method: str, keep_rate: float) -> np.ndarray:
     """Covariance of the noised vector given the input, in closed form.
 
@@ -94,15 +124,7 @@ def conditional_noise_covariance(x, method: str, keep_rate: float) -> np.ndarray
     entries by (D - 1) / D.
     """
     x = np.asarray(x, dtype=np.float64)
-    lam = _strength(keep_rate)
-    if method == "dropout":
-        return lam * np.diag(x**2)
-    if method == "rotation":
-        d = x.size
-        if d < 2:
-            raise ValueError("rotation undefined below dimension 2")
-        return lam / (d - 1) * (float(x @ x) * np.eye(d) - np.outer(x, x))
-    raise ValueError(f"method must be one of {_METHODS}")
+    return _noise_moment(np.outer(x, x), method, _strength(keep_rate))
 
 
 def total_variance(stats: CovStats, method: str, keep_rate: float) -> np.ndarray:
@@ -112,17 +134,8 @@ def total_variance(stats: CovStats, method: str, keep_rate: float) -> np.ndarray
     expectation of the conditional noise covariance over the inputs.
     """
     lam = _strength(keep_rate)
-    sigma = stats.cov
-    c = stats.mean
-    second = sigma + np.outer(c, c)
-    if method == "dropout":
-        return sigma + lam * np.diag(np.diag(second))
-    if method == "rotation":
-        d = stats.dim
-        if d < 2:
-            raise ValueError("rotation undefined below dimension 2")
-        return sigma + lam / (d - 1) * (np.trace(second) * np.eye(d) - second)
-    raise ValueError(f"method must be one of {_METHODS}")
+    second = stats.cov + np.outer(stats.mean, stats.mean)
+    return stats.cov + _noise_moment(second, method, lam)
 
 
 def reduction_factor(method: str, keep_rate: float, dim: int) -> float:
@@ -135,9 +148,7 @@ def reduction_factor(method: str, keep_rate: float, dim: int) -> float:
     if method == "dropout":
         return float(keep_rate)
     if method == "rotation":
-        if dim < 2:
-            raise ValueError("rotation undefined below dimension 2")
-        return float(keep_rate - (1.0 - keep_rate) / (dim - 1))
+        return float(keep_rate - (1.0 - keep_rate) * _pair_rate(dim))
     raise ValueError(f"method must be one of {_METHODS}")
 
 
@@ -174,7 +185,6 @@ def verify_reduction(
     n_samples: int,
     rng: np.random.Generator,
     center: bool = True,
-    n_chunks: int = 20,
 ) -> CoadaptReport:
     """Monte-Carlo check of the reduction factor on a synthetic source.
 
@@ -182,7 +192,7 @@ def verify_reduction(
     zero-center regime the closed-form factors assume), noises each vector
     once, and compares co(output)/co(input) from sample covariances with
     the moment-based prediction.  The standard error is estimated from the
-    spread of per-chunk factors over ``n_chunks`` equal splits.
+    spread of per-chunk factors over 20 equal splits.
 
     A source with (numerically) diagonal covariance has co(input) = 0; the
     factor is then undefined and flagged rather than reported as a number.
@@ -213,13 +223,13 @@ def verify_reduction(
     stats = CovStats(n=int(n_samples), mean=mean, cov=np.asarray(source.cov, dtype=np.float64))
     predicted = predicted_factor(stats, method, keep_rate)
 
-    bounds = np.linspace(0, x.shape[0], n_chunks + 1, dtype=int)
+    bounds = np.linspace(0, x.shape[0], 21, dtype=int)
     factors = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         ci = _coadaptation_of(np.cov(x[lo:hi].T, ddof=1))
         co = _coadaptation_of(np.cov(noised[lo:hi].T, ddof=1))
         factors.append(co / ci)
-    stderr = float(np.std(factors, ddof=1) / np.sqrt(n_chunks))
+    stderr = float(np.std(factors, ddof=1) / np.sqrt(len(factors)))
 
     return CoadaptReport(
         method, keep_rate, source.dim, int(n_samples), co_in, co_out,

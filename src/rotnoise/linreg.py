@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coadapt import _noise_moment
 from .rotation import _BLOCK, AngleDistribution, BatchRotation, sample_batch_rotation
 
 __all__ = [
@@ -70,14 +71,13 @@ class RegressionProblem:
 def rotation_system_matrix(X: np.ndarray, lam: float) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     gram = X.T @ X
-    d = gram.shape[0]
-    return gram + lam * (np.trace(gram) * np.eye(d) - gram) / (d - 1)
+    return gram + _noise_moment(gram, "rotation", lam)
 
 
 def dropout_system_matrix(X: np.ndarray, lam: float) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     gram = X.T @ X
-    return gram + lam * np.diag(np.diag(gram))
+    return gram + _noise_moment(gram, "dropout", lam)
 
 
 def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,7 +245,6 @@ def margin_flip_curve(
     angles: AngleDistribution,
     n_samples: int,
     rng: np.random.Generator,
-    n_margins: int = 20,
 ) -> np.ndarray:
     """Flip rate as a function of the input's angular margin.
 
@@ -253,7 +252,7 @@ def margin_flip_curve(
     within their plane from the bisector (margin 0) toward the nearer
     weight; the margin is the angular gap between the two nearest weights
     as seen from the input.  Margins span [0, 1.5 * scale] where scale is
-    the typical rotation angle of ``angles``.  Returns rows of
+    the typical rotation angle of ``angles``.  Returns 20 rows of
     (margin, flip_rate, stderr).
     """
     W = np.asarray(W, dtype=np.float64)
@@ -269,8 +268,8 @@ def margin_flip_curve(
     inplane -= (inplane @ bisector) * bisector
     inplane /= np.linalg.norm(inplane)
 
-    margins = np.linspace(0.0, 1.5 * _angle_scale(angles), n_margins)
-    rows = np.empty((n_margins, 3))
+    margins = np.linspace(0.0, 1.5 * _angle_scale(angles), 20)
+    rows = np.empty((margins.size, 3))
     for k, margin in enumerate(margins):
         # rotating by margin/2 toward w_a widens the angular gap to margin
         x = np.cos(margin / 2.0) * bisector + np.sin(margin / 2.0) * inplane

@@ -217,12 +217,12 @@ class Network:
             out.update(layer.params())
         return out
 
-    def forward(self, x, mode="train", rng=None, update_stats=None, reuse: _Cache | None = None):
+    def forward(self, x, mode="train", rng=None, reuse: _Cache | None = None):
         """Run the stack; returns (logits, cache).
 
         ``reuse`` replays the noise realizations of a previous train-mode
         cache, so finite-difference probes see a fixed stochastic map.
-        ``update_stats`` defaults to True in train mode.
+        Batch-norm running statistics update in train mode without ``reuse``.
 
         In eval mode ReLU and batch-norm layers overwrite their input.  That
         is safe in every stack ``build_network`` makes: their input is always
@@ -238,8 +238,7 @@ class Network:
             raise ValueError("mode must be 'train' or 'eval'")
         if mode == "train" and rng is None and reuse is None:
             raise ValueError("train mode needs a generator (or a cache to replay)")
-        if update_stats is None:
-            update_stats = mode == "train" and reuse is None
+        update_stats = mode == "train" and reuse is None
         replays = reuse.noise_states() if reuse is not None else [None] * len(self.layers)
         self._token += 1
         cache = _Cache(token=self._token, mode=mode)

@@ -153,17 +153,17 @@ def keep_rate_for(dist: AngleDistribution) -> float:
     return _keep_rate(second_moment_of_tangent(dist))
 
 
-def uniform_angle_for_keep_rate(keep_rate: float, tol: float = 1e-12) -> AngleDistribution:
+def uniform_angle_for_keep_rate(keep_rate: float) -> AngleDistribution:
     """Invert keep_rate_for for the uniform-angle kind by bisection.
 
     Solves tan(T)/T - 1 = (1 - p)/p for T in (0, pi/2); the left side is
-    strictly increasing, so bisection to ``tol`` on T is sufficient.
+    strictly increasing, so bisection to 1e-12 on T is sufficient.
     """
     if not 0.0 < keep_rate < 1.0:
         raise ValueError("keep rate must lie in (0, 1) to invert")
     target = _strength(keep_rate)
     lo, hi = 1e-9, _HALF_PI - 1e-9
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if np.tan(mid) / mid - 1.0 < target:
             lo = mid
@@ -176,7 +176,7 @@ def uniform_angle_for_keep_rate(keep_rate: float, tol: float = 1e-12) -> AngleDi
 # pairings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pairing:
     """Partition of D coordinates into ordered planes, stored as a permutation.
 
@@ -325,7 +325,7 @@ def apply_rotation_transpose(g, realization: RotationRealization) -> np.ndarray:
 # vectorized per-row realizations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchRotation:
     """Fresh rotation per row of an (n, D) batch, stored as permutations.
 

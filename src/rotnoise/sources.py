@@ -27,9 +27,9 @@ def equicorrelated(dim: int, rho: float) -> np.ndarray:
     return mat
 
 
-def random_correlation(dim: int, rng: np.random.Generator, oversample: int = 2) -> np.ndarray:
-    """Correlation matrix of a random Gaussian Gram matrix (full rank a.s.)."""
-    g = rng.standard_normal((dim, oversample * dim))
+def random_correlation(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Correlation matrix of a random (D, 2D) Gaussian Gram matrix (full rank a.s.)."""
+    g = rng.standard_normal((dim, 2 * dim))
     c = g @ g.T
     d = 1.0 / np.sqrt(np.diag(c))
     return c * np.outer(d, d)
@@ -72,28 +72,18 @@ def _relu_cross_moment(rho: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReluGaussianSource:
-    """ReLU of a Gaussian with correlation ``corr`` and per-axis ``scales``.
+    """ReLU of a standard Gaussian with correlation ``corr``.
 
     Moments are exact: the mean of a rectified standard normal is
-    1/sqrt(2 pi) and the cross moments follow the arc-cosine kernel, both
-    scaled by the positive per-axis scales.
+    1/sqrt(2 pi) and the cross moments follow the arc-cosine kernel.
     """
 
     corr: np.ndarray
-    scales: np.ndarray | None = None
     _chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         corr = np.asarray(self.corr, dtype=np.float64)
-        scales = (
-            np.ones(corr.shape[0])
-            if self.scales is None
-            else np.asarray(self.scales, dtype=np.float64)
-        )
-        if np.any(scales <= 0):
-            raise ValueError("scales must be positive")
         object.__setattr__(self, "corr", corr)
-        object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "_chol", np.linalg.cholesky(corr))
 
     @property
@@ -102,15 +92,14 @@ class ReluGaussianSource:
 
     @property
     def mean(self) -> np.ndarray:
-        return self.scales / np.sqrt(2.0 * np.pi)
+        return np.full(self.dim, 1.0 / np.sqrt(2.0 * np.pi))
 
     @property
     def cov(self) -> np.ndarray:
-        cross = _relu_cross_moment(self.corr)
-        cov = np.outer(self.scales, self.scales) * (cross - 1.0 / (2.0 * np.pi))
-        np.fill_diagonal(cov, self.scales**2 * (0.5 - 1.0 / (2.0 * np.pi)))
+        cov = _relu_cross_moment(self.corr) - 1.0 / (2.0 * np.pi)
+        np.fill_diagonal(cov, 0.5 - 1.0 / (2.0 * np.pi))
         return cov
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         z = rng.standard_normal((n, self.dim)) @ self._chol.T
-        return np.maximum(z, 0.0) * self.scales
+        return np.maximum(z, 0.0)

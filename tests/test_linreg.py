@@ -8,6 +8,7 @@ from rotnoise import (
     SingularSystemError,
     classification_flip_rate,
     condition_numbers,
+    conditional_noise_covariance,
     dropout_rotation_angle,
     dropout_system_matrix,
     fixed_angle,
@@ -86,6 +87,24 @@ def test_ridge_identity_at_unit_strength():
         lhs = rotation_system_matrix(x, 1.0)
         rhs = (dim - 2) / (dim - 1) * (gram + np.trace(gram) / (dim - 2) * np.eye(dim))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+
+def test_rotation_system_rejects_one_column():
+    with pytest.raises(ValueError, match="below dimension 2"):
+        rotation_system_matrix(np.ones((3, 1)), 0.5)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+@pytest.mark.parametrize("lam", [0.25, 1.0])
+@pytest.mark.parametrize(
+    "method, system", [("rotation", rotation_system_matrix), ("dropout", dropout_system_matrix)]
+)
+def test_system_penalty_sums_conditional_noise_covariances(method, system, dim, lam):
+    # the marginalized penalty is the per-row noise covariance of coadapt, summed
+    x = np.random.default_rng(dim).standard_normal((3 * dim, dim))
+    penalty = system(x, lam) - x.T @ x
+    rows = sum(conditional_noise_covariance(row, method, 1.0 / (1.0 + lam)) for row in x)
+    np.testing.assert_allclose(penalty, rows, rtol=0, atol=1e-12 * np.abs(penalty).max())
 
 
 # ---------------------------------------------------------------------------

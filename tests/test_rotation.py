@@ -23,7 +23,7 @@ from rotnoise import (
     uniform_angle,
     uniform_angle_for_keep_rate,
 )
-from rotnoise.rotation import _BLOCK, Pairing, _keep_rate, _strength
+from rotnoise.rotation import _BLOCK, BatchRotation, Pairing, _keep_rate, _strength
 
 
 def centered_rotation(x, angles, rng):
@@ -112,6 +112,17 @@ def test_pairing_views_are_read_only():
     for view in (pairing.perm, pairing.pairs):
         with pytest.raises(ValueError):
             view[0] = 0
+
+
+def test_realizations_compare_and_hash_by_identity():
+    pairings = (Pairing([0, 1, 2]), Pairing([0, 1, 2]))
+    rng = np.random.default_rng(0)
+    batch = sample_batch_rotation(3, 4, gaussian_tangent(0.5), rng)
+    batches = (batch, BatchRotation(perm=batch.perm.copy(), tangents=batch.tangents.copy()))
+    for a, b in (pairings, batches):
+        assert (a == b) is False
+        assert a == a
+        assert len({a, b}) == 2
 
 
 def test_odd_dim_fixed_coordinate_is_uniform():
