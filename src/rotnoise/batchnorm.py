@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise_ops import BernoulliDropout
-from .rotation import _strength
+from .rotation import _check_budget, _strength
 
 __all__ = [
     "BatchNormState",
@@ -44,7 +44,7 @@ __all__ = [
 # batch normalization forward passes
 
 
-@dataclass
+@dataclass(eq=False)
 class BatchNormState:
     """Running statistics and affine parameters of one normalization layer."""
 
@@ -118,14 +118,14 @@ def _eval_normalize(x: np.ndarray, state: BatchNormState, correction=None, out=N
     return xhat
 
 
-def bn_train_forward(x, state: BatchNormState, update: bool = True) -> np.ndarray:
+def bn_train_forward(x, state: BatchNormState) -> np.ndarray:
     """Normalize a (B, D) batch with its own statistics.
 
     The batch variance uses the 1/B normalizer; the running variance is
     updated with the B/(B-1) debiased value through an exponential moving
     average of the configured momentum.
     """
-    return _train_normalize(np.asarray(x, dtype=np.float64), state, update)[0]
+    return _train_normalize(np.asarray(x, dtype=np.float64), state, update=True)[0]
 
 
 def bn_test_forward(x, state: BatchNormState, correction=None) -> np.ndarray:
@@ -234,12 +234,6 @@ def _check_batch_size(batch_size: int) -> None:
         raise ValueError("batch size must be at least 2")
 
 
-def _check_budget(name: str, value: int) -> None:
-    # one draw gives no sample variance: its estimate would be NaN
-    if value < 2:
-        raise ValueError(f"Monte-Carlo budget {name} must be at least 2, got {value}")
-
-
 def _companion_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and 1/n variance of companion draws along the last axis."""
     m = z.mean(axis=-1)
@@ -277,7 +271,7 @@ def train_statistic_samples(
     return _normalized_value(x, m, s2, batch_size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonlinearityCurve:
     """Conditional mean/variance of a normalized value on a test grid."""
 
@@ -376,7 +370,7 @@ def cross_normalization_curve(
     return NonlinearityCurve("gaussian", batch_size, grid, means, f_var, stderr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyFit:
     """Odd-polynomial correction a1 x + a3 x^3 + a5 x^5 + a7 x^7."""
 
@@ -459,7 +453,7 @@ def sample_sphere_rows(n: int, dim: int, rng: np.random.Generator) -> np.ndarray
     return w / np.linalg.norm(w, axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftReport:
     """Per-unit train/test variances and their shift ratios.
 
@@ -489,13 +483,6 @@ class ShiftReport:
         return float(self.ratio.max())
 
 
-def _moments_of(source) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(source, "mean") and hasattr(source, "cov"):
-        return np.asarray(source.mean, dtype=np.float64), np.asarray(source.cov, dtype=np.float64)
-    mean, cov = source
-    return np.asarray(mean, dtype=np.float64), np.asarray(cov, dtype=np.float64)
-
-
 def variance_shift(
     placement: str,
     centered: bool,
@@ -521,7 +508,8 @@ def variance_shift(
         raise ValueError("placement must be 'dropout-a' or 'dropout-b'")
     if not 0.0 < keep_rate < 1.0:
         raise ValueError("keep rate must lie in (0, 1) for a nontrivial shift")
-    mean, cov = _moments_of(source)
+    mean = np.asarray(source.mean, dtype=np.float64)
+    cov = np.asarray(source.cov, dtype=np.float64)
     eig_floor = np.linalg.eigvalsh(cov)[0]
     if eig_floor < -1e-10 or np.trace(cov) <= 0.0:
         raise ValueError("feature covariance must be positive semidefinite with positive trace")
@@ -542,6 +530,7 @@ def variance_shift(
 
     mc_var = None
     if n_mc > 0:
+        _check_budget("n_mc", n_mc)
         if rng is None:
             raise ValueError("the Monte-Carlo cross-check requires a generator")
         x = source.sample(int(n_mc), rng)

@@ -45,6 +45,7 @@ from .network import TrainConfig, train_and_report
 from .noise_ops import NoiseOpSpec
 from .rotation import (
     RotationRealization,
+    _check_budget,
     apply_rotation,
     apply_rotation_transpose,
     gaussian_tangent,
@@ -210,7 +211,7 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
 
 
 def _write_manifest(outdir: Path, command: str, merged: dict) -> None:
@@ -239,6 +240,7 @@ def _run_verify_rotation(merged: dict, outdir: Path, rng: np.random.Generator):
     angles = gaussian_tangent(merged["sigma"])
     n_real = merged["realizations"]
     n_mc = int(merged["samples"])
+    _check_budget("samples", n_mc)
     rows = []
 
     x = rng.standard_normal(dim)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise_ops import NoiseOpSpec, make_noise_op
-from .rotation import _strength
+from .rotation import _check_budget, _strength
 
 __all__ = [
     "CovStats",
@@ -34,7 +34,7 @@ __all__ = [
 _METHODS = ("dropout", "rotation")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovStats:
     """Sample count, mean vector and covariance matrix of a feature batch."""
 
@@ -89,13 +89,13 @@ def coadaptation(stats: CovStats) -> float:
 def _pair_rate(dim: int) -> float:
     """Rate at which the rotation sampler pairs two given coordinates.
 
-    1 / (D - 1) when every coordinate is paired (even D).  The odd-D sampler
-    leaves one coordinate out per draw and pairs at 1 / D; the closed forms
-    built on this rate do not follow that yet.
+    Each of the D (D - 1) / 2 coordinate pairs is one of the D // 2 planes
+    of a draw with equal probability: 1 / (D - 1) for even D and 1 / D for
+    odd D, whose sampler leaves one coordinate out per draw.
     """
     if dim < 2:
         raise ValueError("rotation undefined below dimension 2")
-    return 1.0 / (dim - 1)
+    return 2 * (dim // 2) / (dim * (dim - 1))
 
 
 def _noise_moment(second: np.ndarray, method: str, lam: float) -> np.ndarray:
@@ -116,12 +116,10 @@ def conditional_noise_covariance(x, method: str, keep_rate: float) -> np.ndarray
     """Covariance of the noised vector given the input, in closed form.
 
     dropout:   lam * diag(x x^T)
-    rotation:  lam / (D - 1) * (x^T x I - x x^T)
-    with lam = (1 - p) / p.  Both have trace lam * x^T x; the rotation form
-    additionally carries negative cross terms proportional to -x_i x_j.
-    The rotation branch assumes every coordinate is paired (even D); the
-    odd-D sampler leaves one coordinate out per draw, which shrinks these
-    entries by (D - 1) / D.
+    rotation:  lam * r * (x^T x I - x x^T), r = ``_pair_rate(D)``
+    with lam = (1 - p) / p.  Both have trace lam * x^T x for even D; the
+    rotation form additionally carries negative cross terms proportional
+    to -x_i x_j.
     """
     x = np.asarray(x, dtype=np.float64)
     return _noise_moment(np.outer(x, x), method, _strength(keep_rate))
@@ -142,13 +140,15 @@ def reduction_factor(method: str, keep_rate: float, dim: int) -> float:
     """Co-adaptation reduction for zero-mean inputs.
 
     dropout scales co-adaptation by p; the strength-matched rotation noise
-    scales it by p - (1 - p) / (D - 1), strictly stronger for finite D.
+    scales it by (1 - lam r) / (1 + lam (D - 1) r) with r = ``_pair_rate(D)``,
+    which is p - (1 - p) / (D - 1) for even D, strictly stronger for finite D.
     """
-    _strength(keep_rate)
+    lam = _strength(keep_rate)
     if method == "dropout":
         return float(keep_rate)
     if method == "rotation":
-        return float(keep_rate - (1.0 - keep_rate) * _pair_rate(dim))
+        r = _pair_rate(dim)
+        return float((1.0 - lam * r) / (1.0 + lam * (dim - 1) * r))
     raise ValueError(f"method must be one of {_METHODS}")
 
 
@@ -197,6 +197,8 @@ def verify_reduction(
     A source with (numerically) diagonal covariance has co(input) = 0; the
     factor is then undefined and flagged rather than reported as a number.
     """
+    # each of the 20 chunks below needs two rows for a sample covariance
+    _check_budget("n_samples", n_samples, least=40)
     x = np.asarray(source.sample(int(n_samples), rng), dtype=np.float64)
     if center:
         x = x - x.mean(axis=0)

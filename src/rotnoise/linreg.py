@@ -3,11 +3,13 @@
 Marginalizing rotation or dropout noise out of the squared loss turns the
 least-squares problem into ridge-like problems with different penalties:
 
-    rotation: [X^T X + lam (trace(X^T X) I - X^T X) / (D - 1)] w = X^T y
+    rotation: [X^T X + lam r (trace(X^T X) I - X^T X)] w = X^T y
     dropout:  [X^T X + lam diag(X^T X)] w = X^T y
 
-The rotation system mixes the total energy into every coordinate, which
-bounds its condition number by D - 1 at lam = 1; the dropout system
+where r is the rate at which the rotation sampler pairs two coordinates,
+1 / (D - 1) for even D and 1 / D for odd D.  The rotation system mixes the
+total energy into every coordinate, which bounds its condition number by
+1 / r at lam = 1 (D - 1 for even D, D for odd D); the dropout system
 inherits any degeneracy of individual columns.
 """
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coadapt import _noise_moment
-from .rotation import _BLOCK, AngleDistribution, BatchRotation, sample_batch_rotation
+from .rotation import _BLOCK, AngleDistribution, BatchRotation, _check_budget, sample_batch_rotation
 
 __all__ = [
     "RegressionProblem",
@@ -39,7 +41,7 @@ class SingularSystemError(ArithmeticError):
     """Raised when a regularized normal system is numerically singular."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionProblem:
     """Design matrix, targets and the noise strength lam = (1 - p) / p."""
 
@@ -94,12 +96,7 @@ def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def solve_rotation_lr(problem: RegressionProblem) -> np.ndarray:
-    """Weights minimizing the rotation-marginalized squared loss.
-
-    The penalty is the even-dimension marginal of the pair-rotation noise;
-    for odd D the sampled operator leaves one coordinate out per draw and
-    its marginal penalty carries (D - 1)/D of this weight.
-    """
+    """Weights minimizing the rotation-marginalized squared loss."""
     A = rotation_system_matrix(problem.X, problem.lam)
     return _solve_spd(A, problem.X.T @ problem.y)
 
@@ -124,7 +121,7 @@ def condition_numbers(problem: RegressionProblem) -> tuple[float, float]:
     """Condition numbers (rotation system, dropout system).
 
     Singular systems report +inf.  At lam = 1 the rotation system is
-    bounded by D - 1 regardless of how degenerate X is.
+    bounded by D - 1 for even D and by D for odd D, however degenerate X is.
     """
     if np.trace(problem.X.T @ problem.X) <= 0.0:
         raise ValueError("design matrix has no energy")
@@ -148,6 +145,7 @@ def marginalized_gradient(
     Returns the per-coordinate mean and standard error over trials; at the
     closed-form solution the mean is zero up to Monte-Carlo noise.
     """
+    _check_budget("n_trials", n_trials)
     X, y = problem.X, problem.y
     n, dim = X.shape
     w = np.asarray(w, dtype=np.float64)
@@ -182,6 +180,7 @@ def dropout_rotation_angle(
         raise ValueError("angle demo needs at least 2 dimensions")
     if not 0.0 < keep_rate <= 1.0:
         raise ValueError("keep rate must lie in (0, 1]")
+    _check_budget("n_samples", n_samples)
     x = rng.standard_normal((n_samples, dim))
     np.abs(x, out=x)
     cos2 = np.empty(n_samples)
@@ -222,6 +221,7 @@ def classification_flip_rate(
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
         raise ValueError("need at least two weight rows to have a decision")
+    _check_budget("n_samples", n_samples)
     W = W / np.linalg.norm(W, axis=1, keepdims=True)
     x = np.asarray(x, dtype=np.float64)
     base = int(np.argmax(W @ x))

@@ -79,7 +79,6 @@ class TrainConfig:
     batch_size: int = 32
     learning_rate: float = 0.05
     momentum: float = 0.9
-    weight_decay: float = 0.0
     seed: int = 0
     n_train: int = 200
     n_val: int = 4000
@@ -108,7 +107,7 @@ class _Dense:
     def params(self):
         return {f"{self.name}.w": self.w, f"{self.name}.b": self.b}
 
-    def forward(self, x, mode, rng, update_stats, reuse):
+    def forward(self, x, mode, rng, replay):
         out = None
         if mode == "eval" and self.eval_out is not None:
             out = self.eval_out[: x.shape[0]]
@@ -131,7 +130,7 @@ class _Relu:
     def params(self):
         return {}
 
-    def forward(self, x, mode, rng, update_stats, reuse):
+    def forward(self, x, mode, rng, replay):
         if mode == "eval":
             return np.maximum(x, 0.0, out=x), {}
         # the kink margin lets gradient checks confirm no preactivation sits
@@ -150,10 +149,10 @@ class _BatchNorm:
     def params(self):
         return {f"{self.name}.gamma": self.state.gamma, f"{self.name}.beta": self.state.beta}
 
-    def forward(self, x, mode, rng, update_stats, reuse):
+    def forward(self, x, mode, rng, replay):
         if mode == "eval":
             return _eval_normalize(x, self.state, out=x), {}
-        out, xhat, inv_std = _train_normalize(x, self.state, update_stats)
+        out, xhat, inv_std = _train_normalize(x, self.state, update=replay is None)
         return out, {"xhat": xhat, "inv_std": inv_std}
 
     def param_grads(self, g, cache):
@@ -177,15 +176,13 @@ class _Noise:
     def params(self):
         return {}
 
-    def forward(self, x, mode, rng, update_stats, reuse):
+    def forward(self, x, mode, rng, replay):
         if mode == "eval":
             return x, {}
-        state = reuse if reuse is not None else self.op.sample_state(x, rng)
+        state = replay["state"] if replay is not None else self.op.sample_state(x, rng)
         return self.op.apply_state(x, state), {"state": state}
 
     def backward(self, g, cache):
-        if not cache:
-            return g, {}
         return self.op.backprop_state(g, cache["state"]), {}
 
 
@@ -198,9 +195,6 @@ class _Cache:
     token: int
     mode: str
     layer_caches: list = field(default_factory=list)
-
-    def noise_states(self):
-        return [c.get("state") if c else None for c in self.layer_caches]
 
 
 class Network:
@@ -220,9 +214,9 @@ class Network:
     def forward(self, x, mode="train", rng=None, reuse: _Cache | None = None):
         """Run the stack; returns (logits, cache).
 
-        ``reuse`` replays the noise realizations of a previous train-mode
-        cache, so finite-difference probes see a fixed stochastic map.
-        Batch-norm running statistics update in train mode without ``reuse``.
+        ``reuse`` replays a previous train-mode cache, each layer reading its
+        own entry: noise layers redraw nothing, so finite-difference probes
+        see a fixed stochastic map, and batch norm keeps its running stats.
 
         In eval mode ReLU and batch-norm layers overwrite their input.  That
         is safe in every stack ``build_network`` makes: their input is always
@@ -238,13 +232,14 @@ class Network:
             raise ValueError("mode must be 'train' or 'eval'")
         if mode == "train" and rng is None and reuse is None:
             raise ValueError("train mode needs a generator (or a cache to replay)")
-        update_stats = mode == "train" and reuse is None
-        replays = reuse.noise_states() if reuse is not None else [None] * len(self.layers)
+        if reuse is not None and reuse.mode != "train":
+            raise ValueError("only a train-mode cache can be replayed")
+        replays = reuse.layer_caches if reuse is not None else [None] * len(self.layers)
         self._token += 1
         cache = _Cache(token=self._token, mode=mode)
         h = x
         for layer, replay in zip(self.layers, replays, strict=True):
-            h, c = layer.forward(h, mode, rng, update_stats, replay)
+            h, c = layer.forward(h, mode, rng, replay)
             cache.layer_caches.append(c)
         return h, cache
 
@@ -374,9 +369,8 @@ def train(
     The matrix products run on numpy's BLAS thread pool, so the thread
     count follows the BLAS settings (e.g. ``OPENBLAS_NUM_THREADS``).
 
-    Weight decay is applied to dense weight matrices only.  Returns a list
-    of (epoch, train_acc, val_acc) rows; by default only the final epoch is
-    recorded, ``record_every`` adds intermediate rows.
+    Returns a list of (epoch, train_acc, val_acc) rows; by default only the
+    final epoch is recorded, ``record_every`` adds intermediate rows.
     """
     params = model.params()
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
@@ -394,8 +388,6 @@ def train(
                 grads = model.backward(cache, dlogits)
                 for name, p in params.items():
                     g = grads[name]
-                    if config.weight_decay and name.endswith(".w"):
-                        g = g + config.weight_decay * p
                     v = velocity[name]
                     v *= config.momentum
                     # g is scratch (a workspace buffer or a fresh array);

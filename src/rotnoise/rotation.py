@@ -145,6 +145,12 @@ def _keep_rate(strength: float) -> float:
     return 1.0 / (1.0 + strength)
 
 
+def _check_budget(name: str, value: int, least: int = 2) -> None:
+    # one draw gives no sample variance: its standard error would be NaN
+    if value < least:
+        raise ValueError(f"Monte-Carlo budget {name} must be at least {least}, got {value}")
+
+
 def keep_rate_for(dist: AngleDistribution) -> float:
     """Keep rate p of the Bernoulli dropout with matching multiplier variance.
 
@@ -221,7 +227,7 @@ def sample_pairing(dim: int, rng: np.random.Generator) -> Pairing:
     return Pairing(rng.permutation(dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotationRealization:
     """One concrete rotation: a pairing plus tangent value(s).
 

@@ -35,7 +35,7 @@ def random_correlation(dim: int, rng: np.random.Generator) -> np.ndarray:
     return c * np.outer(d, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianSource:
     """Centered Gaussian vectors with covariance ``cov``."""
 
@@ -70,7 +70,7 @@ def _relu_cross_moment(rho: np.ndarray) -> np.ndarray:
     return (np.sin(t) + (np.pi - t) * np.cos(t)) / (2.0 * np.pi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReluGaussianSource:
     """ReLU of a standard Gaussian with correlation ``corr``.
 

@@ -1,17 +1,25 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rotnoise import (
     BatchNormState,
     GaussianSource,
+    RegressionProblem,
     ReluGaussianSource,
     bn_test_forward,
     bn_train_forward,
+    classification_flip_rate,
     cross_normalization_curve,
     cross_normalize,
+    dropout_rotation_angle,
     equicorrelated,
     evaluate_odd_poly,
     fit_poly_correction,
+    gaussian_tangent,
+    margin_flip_curve,
+    marginalized_gradient,
     mc_nonlinearity_curve,
     noise_budget,
     random_correlation,
@@ -19,6 +27,7 @@ from rotnoise import (
     standardized_sampler,
     train_statistic_samples,
     variance_shift,
+    verify_reduction,
 )
 from rotnoise.batchnorm import _CURVE_BLOCK, DISTRIBUTIONS, NonlinearityCurve
 
@@ -284,6 +293,10 @@ def test_curve_random_draws_do_not_depend_on_the_grid():
     assert states[0] == states[1]
 
 
+PROBLEM = RegressionProblem(np.eye(3), np.ones(3), 0.5)
+ANGLES = gaussian_tangent(0.5)
+
+
 @pytest.mark.parametrize(
     "call, budget",
     [
@@ -291,10 +304,17 @@ def test_curve_random_draws_do_not_depend_on_the_grid():
         (lambda rng: noise_budget(8, "gaussian", rng, n_outer=10, n_inner=1), "n_inner"),
         (lambda rng: noise_budget(8, "gaussian", rng, n_outer=1, n_inner=10), "n_outer"),
         (lambda rng: cross_normalization_curve(8, rng, np.zeros(3), n_mc=1), "n_mc"),
+        (lambda rng: variance_shift("dropout-b", False, 0.5, relu_features(4), n_mc=1, rng=rng), "n_mc"),
+        (lambda rng: marginalized_gradient(PROBLEM, np.zeros(3), ANGLES, n_trials=1, rng=rng), "n_trials"),
+        (lambda rng: dropout_rotation_angle(8, 0.5, 1, rng), "n_samples"),
+        (lambda rng: classification_flip_rate(np.eye(3), np.ones(3), ANGLES, 1, rng), "n_samples"),
+        (lambda rng: margin_flip_curve(np.eye(3), ANGLES, 1, rng), "n_samples"),
+        # each of verify_reduction's 20 chunks needs two rows
+        (lambda rng: verify_reduction(relu_features(4), "rotation", 0.8, 39, rng), "n_samples"),
     ],
 )
 def test_degenerate_monte_carlo_budget_is_rejected(call, budget):
-    with pytest.raises(ValueError, match=budget):
+    with pytest.raises(ValueError, match=f"budget {budget} must be at least"):
         call(np.random.default_rng(32))
 
 
@@ -557,6 +577,9 @@ def test_variance_shift_validation():
         variance_shift("dropout-c", False, 0.5, relu_features(4), n_rows=4, rng=rng)
     with pytest.raises(ValueError, match="keep rate"):
         variance_shift("dropout-a", False, 1.0, relu_features(4), n_rows=4, rng=rng)
-    bad = (np.zeros(3), np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    # a non-PSD covariance that no source constructor would accept
+    bad = SimpleNamespace(
+        mean=np.zeros(3), cov=np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    )
     with pytest.raises(ValueError, match="semidefinite"):
         variance_shift("dropout-a", False, 0.5, bad, n_rows=4, rng=rng)

@@ -84,6 +84,8 @@ def test_verify_rotation_run(tmp_path):
     header, rows = read_csv(tmp_path / "rotation_invariants.csv")
     assert header == ["invariant", "dim", "statistic", "bound", "passed"]
     assert all(r[-1] == "True" for r in rows)
+    for row in rows:  # plain float reprs, not numpy scalar reprs
+        float(row[2]), float(row[3])
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 7
     assert "numpy" in manifest["versions"]
@@ -174,12 +176,18 @@ def test_noise_budget_run(tmp_path):
         (["noise-budget", "--inner", "1"], "noise_budget.csv"),
         (["noise-budget", "--outer", "1"], "noise_budget.csv"),
         (["cn-check", "--samples", "1"], "cn_linearity.csv"),
+        (["verify-rotation", "--samples", "1"], "rotation_invariants.csv"),
+        (["angle-demo", "--samples", "1"], "dropout_angle.csv"),
+        (["angle-demo", "--flip-samples", "1"], "margin_flip.csv"),
+        (["coadapt", "--samples", "10"], "coadaptation.csv"),
     ],
 )
 def test_degenerate_monte_carlo_budget_exits_2(tmp_path, capsys, argv, csv_name):
     code = run([*argv, "--out", str(tmp_path)])
     assert code == 2
-    assert "must be at least 2" in capsys.readouterr().err
+    # each of verify_reduction's 20 chunks needs two rows
+    least = 40 if argv[0] == "coadapt" else 2
+    assert f"must be at least {least}," in capsys.readouterr().err
     assert not (tmp_path / csv_name).exists()
 
 

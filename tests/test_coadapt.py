@@ -210,7 +210,8 @@ def test_reduction_factor_dropout_is_keep_rate():
 
 
 def test_reduction_factor_rotation_worked_example():
-    assert reduction_factor("rotation", 0.8, 5) == pytest.approx(0.75, abs=1e-15)
+    # lam = 0.25 and the odd-D pair rate r = 1/5: (1 - lam r) / (1 + lam 4 r)
+    assert reduction_factor("rotation", 0.8, 5) == pytest.approx(0.95 / 1.2, abs=1e-15)
 
 
 def test_reduction_factor_rotation_large_dim_limit():
@@ -291,3 +292,32 @@ def test_verify_reduction_at_keep_rate_one_reports_factor_one(method):
 def test_verify_reduction_rejects_unknown_method():
     with pytest.raises(ValueError, match="method must be one of"):
         verify_reduction(GaussianSource(equicorrelated(4, 0.5)), "uout", 0.8, 100, np.random.default_rng(12))
+
+
+# ---------------------------------------------------------------------------
+# odd D: the sampler leaves one coordinate out per draw and pairs at 1 / D
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_conditional_rotation_covariance_odd_dim_monte_carlo(dim):
+    # 2e5 draws; |z| < 5 on each of the D (D + 1) / 2 distinct entries
+    # fails by chance with probability below 2e-5 per case
+    p = 0.8
+    rng = np.random.default_rng(300 + dim)
+    x = rng.standard_normal(dim)
+    op = RotationOut(gaussian_tangent(np.sqrt((1 - p) / p)))
+    mean, stderr = conditional_cov_mc(op, x, 200_000, rng)
+    closed = conditional_noise_covariance(x, "rotation", p)
+    assert np.all(np.abs(mean - closed) < 5 * stderr)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_verify_reduction_odd_dim_matches_reduction_factor(dim):
+    # 2e5 draws; the stderr comes from 20 chunks, so |z| < 6 fails by
+    # chance with probability about 9e-6 per case (t, 19 degrees of freedom)
+    rng = np.random.default_rng(310 + dim)
+    source = GaussianSource(equicorrelated(dim, 0.5))
+    report = verify_reduction(source, "rotation", 0.8, 200_000, rng)
+    closed = reduction_factor("rotation", 0.8, dim)
+    assert report.predicted_factor == pytest.approx(closed, rel=1e-12)
+    assert abs(report.observed_factor - closed) < 6 * report.stderr

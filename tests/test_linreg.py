@@ -79,13 +79,14 @@ def test_problem_validation():
 
 
 def test_ridge_identity_at_unit_strength():
-    # the rotation system matrix is an exact multiple of a ridge system
+    # the rotation system matrix is (1 - r) X^T X + r trace(X^T X) I, a
+    # multiple of a ridge system, with pair rate r = 1/(D - 1) (even D), 1/D (odd)
     rng = np.random.default_rng(3)
-    for dim in (4, 7, 12):
+    for dim, r in ((4, 1 / 3), (7, 1 / 7), (12, 1 / 11)):
         x = rng.standard_normal((30, dim))
         gram = x.T @ x
         lhs = rotation_system_matrix(x, 1.0)
-        rhs = (dim - 2) / (dim - 1) * (gram + np.trace(gram) / (dim - 2) * np.eye(dim))
+        rhs = (1 - r) * gram + r * np.trace(gram) * np.eye(dim)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
 
@@ -124,6 +125,17 @@ def test_rotation_solution_zeroes_marginalized_gradient():
     # sanity: a perturbed point does not zero the gradient
     grad_off, stderr_off = marginalized_gradient(prob, w + 0.1, angles, n_trials=1500, rng=rng)
     assert np.any(np.abs(grad_off) > 10 * stderr_off)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+def test_rotation_solution_zeroes_marginalized_gradient_odd_dim(dim):
+    # criterion 04 at odd D: 4000 trials; |z| < 5 on each of the D
+    # coordinates fails by chance with probability below 5e-6 per case
+    rng = np.random.default_rng(320 + dim)
+    prob = RegressionProblem(rng.standard_normal((40, dim)), rng.standard_normal(40), 1.0)
+    w = solve_rotation_lr(prob)
+    grad, stderr = marginalized_gradient(prob, w, gaussian_tangent(1.0), n_trials=4000, rng=rng)
+    assert np.all(np.abs(grad) < 5 * stderr)
 
 
 def test_dropout_solution_moments_identity():
@@ -178,7 +190,8 @@ def test_rotation_condition_bound_random_designs():
         n = int(rng.integers(dim, 3 * dim + 1))
         x = rng.standard_normal((n, dim)) * rng.uniform(0.1, 10)
         kr, _ = condition_numbers(RegressionProblem(x, rng.standard_normal(n), 1.0))
-        assert kr <= dim - 1 + 1e-9
+        # at lam = 1 the bound is 1 / r: D - 1 for even D, D for odd D
+        assert kr <= (dim - 1 if dim % 2 == 0 else dim) + 1e-9
 
 
 def test_rotation_condition_bound_rank_deficient():

@@ -7,9 +7,17 @@ from hypothesis import strategies as st
 
 from rotnoise import (
     AngleDistribution,
+    BatchNormState,
     Centered,
+    CovStats,
+    GaussianSource,
+    NonlinearityCurve,
+    PolyFit,
+    RegressionProblem,
+    ReluGaussianSource,
     RotationOut,
     RotationRealization,
+    ShiftReport,
     apply_featuremap,
     apply_rotation,
     apply_rotation_transpose,
@@ -115,11 +123,24 @@ def test_pairing_views_are_read_only():
 
 
 def test_realizations_compare_and_hash_by_identity():
-    pairings = (Pairing([0, 1, 2]), Pairing([0, 1, 2]))
+    # a field-wise == or hash() of these classes' numpy fields would raise
     rng = np.random.default_rng(0)
     batch = sample_batch_rotation(3, 4, gaussian_tangent(0.5), rng)
-    batches = (batch, BatchRotation(perm=batch.perm.copy(), tangents=batch.tangents.copy()))
-    for a, b in (pairings, batches):
+    pairing, cov, grid = Pairing([0, 1, 2]), np.eye(3), np.zeros(4)
+    makers = [
+        lambda: Pairing([0, 1, 2]),
+        lambda: BatchRotation(perm=batch.perm.copy(), tangents=batch.tangents.copy()),
+        lambda: RotationRealization(pairing, np.ones((2, 1))),
+        lambda: CovStats(n=3, mean=np.zeros(3), cov=cov),
+        lambda: GaussianSource(cov),
+        lambda: ReluGaussianSource(cov),
+        lambda: RegressionProblem(np.eye(3), np.ones(3), 0.5),
+        lambda: NonlinearityCurve("gaussian", 4, grid, grid, grid, grid),
+        lambda: PolyFit(coeffs=grid, rmse=0.0),
+        lambda: ShiftReport("dropout-a", False, 0.5, grid, grid, grid),
+        lambda: BatchNormState.initial(3),
+    ]
+    for a, b in ((make(), make()) for make in makers):
         assert (a == b) is False
         assert a == a
         assert len({a, b}) == 2
