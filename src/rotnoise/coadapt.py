@@ -14,6 +14,7 @@ marginalized systems call too; it reads the rotation pair rate from
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -140,15 +141,18 @@ def reduction_factor(method: str, keep_rate: float, dim: int) -> float:
     """Co-adaptation reduction for zero-mean inputs.
 
     dropout scales co-adaptation by p; the strength-matched rotation noise
-    scales it by (1 - lam r) / (1 + lam (D - 1) r) with r = ``_pair_rate(D)``,
-    which is p - (1 - p) / (D - 1) for even D, strictly stronger for finite D.
+    scales it by |1 - lam r| / (1 + lam (D - 1) r) with r = ``_pair_rate(D)``,
+    which is |p - (1 - p) / (D - 1)| for even D, strictly stronger for finite
+    D while lam r < 1.  Past lam r = 1 the noise flips the sign of every
+    off-diagonal covariance, and the factor, a ratio of L1 masses, rises
+    again as p falls.
     """
     lam = _strength(keep_rate)
     if method == "dropout":
         return float(keep_rate)
     if method == "rotation":
         r = _pair_rate(dim)
-        return float((1.0 - lam * r) / (1.0 + lam * (dim - 1) * r))
+        return float(abs(1.0 - lam * r) / (1.0 + lam * (dim - 1) * r))
     raise ValueError(f"method must be one of {_METHODS}")
 
 
@@ -176,6 +180,31 @@ class CoadaptReport:
     predicted_factor: float
     stderr: float
     undefined: bool = False
+
+
+def _split_covariances(a: np.ndarray, bounds) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Sample covariances (ddof=1) of all rows of ``a`` and of each row split.
+
+    Each split's mean and centred Gram are computed once; the whole-sample
+    covariance follows from them by the pairwise merge of (count, mean,
+    centred Gram), Chan, Golub & LeVeque, so the rows are read only once.
+    """
+    done = 0
+    mean = np.zeros(a.shape[1])
+    gram = np.zeros((a.shape[1], a.shape[1]))
+    splits = []
+    for lo, hi in pairwise(bounds):
+        rows = hi - lo
+        part_mean = a[lo:hi].mean(axis=0)
+        centred = a[lo:hi] - part_mean
+        part_gram = centred.T @ centred
+        splits.append(part_gram / (rows - 1))
+        total = done + rows
+        delta = part_mean - mean
+        mean += delta * (rows / total)
+        gram += part_gram + np.outer(delta, delta) * (done * rows / total)
+        done = total
+    return gram / (done - 1), splits
 
 
 def verify_reduction(
@@ -207,8 +236,9 @@ def verify_reduction(
     kind = "bernoulli-dropout" if method == "dropout" else "rotation"
     noised = make_noise_op(NoiseOpSpec(kind, keep_rate))(x, rng)
 
-    cov_in = np.cov(x.T, ddof=1)
-    cov_out = np.cov(noised.T, ddof=1)
+    bounds = np.linspace(0, x.shape[0], 21, dtype=int)
+    cov_in, splits_in = _split_covariances(x, bounds)
+    cov_out, splits_out = _split_covariances(noised, bounds)
     co_in = _coadaptation_of(cov_in)
     co_out = _coadaptation_of(cov_out)
 
@@ -225,12 +255,7 @@ def verify_reduction(
     stats = CovStats(n=int(n_samples), mean=mean, cov=np.asarray(source.cov, dtype=np.float64))
     predicted = predicted_factor(stats, method, keep_rate)
 
-    bounds = np.linspace(0, x.shape[0], 21, dtype=int)
-    factors = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        ci = _coadaptation_of(np.cov(x[lo:hi].T, ddof=1))
-        co = _coadaptation_of(np.cov(noised[lo:hi].T, ddof=1))
-        factors.append(co / ci)
+    factors = [_coadaptation_of(co) / _coadaptation_of(ci) for ci, co in zip(splits_in, splits_out)]
     stderr = float(np.std(factors, ddof=1) / np.sqrt(len(factors)))
 
     return CoadaptReport(

@@ -9,27 +9,38 @@ be checked against finite differences to tight tolerances.
 The eval pass keeps no caches and does only the arithmetic the logits
 need: ReLU and batch normalization write their results into the arrays
 they receive, which are always arrays the network allocated itself, never
-the caller's input.
+the caller's input.  It runs the layer stack over k = max(1, n //
+``_EVAL_ROWS``) near-equal row blocks and writes each block's logits into
+one (n, classes) result, so its working set is one block's activations,
+whatever the number of rows.  Every block has at least ``_EVAL_ROWS`` =
+1024 rows, and an input under 2048 rows is one block.  The floor keeps
+the bits: every row's arithmetic is elementwise or one row of a matrix
+product, but OpenBLAS picks its kernel by the product's shape, and with
+OpenBLAS 0.3.31 the 256 -> 2 output product of a 600-row block rounds
+differently from the same rows inside a 4000-row product, while from
+about 930 rows up the bits agree.
 
 ``train`` holds a workspace for the length of one call and releases it in
 a ``finally``: every hidden dense layer writes its eval output into one
-buffer sized for the larger of the train and validation sets, and every
-dense layer writes its weight gradient into one buffer.  The output layer
-still allocates its small logits, so ``forward`` never returns workspace
-memory.  The buffers exist because of page faults, not arithmetic.  A
-fresh 4000 x 256 activation is large enough for numpy to ask for huge
-pages, and glibc hands it back to the kernel when it is freed, so every
-epoch's eval faulted its activations in again and the train steps then
-re-faulted their own working set: about 680k minor faults per round of
-the benchmark's ``overfit`` workload, against about 5k with the buffers.
-Outside ``train`` no layer holds a buffer.  The matrix products are the
-same calls with ``out=``, so every result keeps its bits.
+buffer sized for the largest eval block of the train and validation sets,
+and every dense layer writes its weight gradient into one buffer.  The
+output layer still allocates its small logits, so ``forward`` never
+returns workspace memory.  The buffers exist because of page faults, not
+arithmetic.  A fresh 4000 x 256 activation, as the eval made before it
+ran in blocks, is large enough for numpy to ask for huge pages, and glibc
+hands it back to the kernel when it is freed, so every epoch's eval
+faulted its activations in again and the train steps then re-faulted their own working set: about
+680k minor faults per round of the benchmark's ``overfit`` workload,
+against about 5k with the buffers.  Outside ``train`` no layer holds a
+buffer.  The matrix products are the same calls with ``out=``, so every
+result keeps its bits.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 import numpy as np
 
@@ -89,6 +100,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch size must be at least 2 for batch statistics")
+
+
+# Fewest rows in an eval block; see the module docstring for why not fewer.
+_EVAL_ROWS = 1024
+
+
+def _eval_bounds(n: int) -> list[int]:
+    """Row bounds of the k = max(1, n // _EVAL_ROWS) near-equal eval blocks."""
+    k = max(1, n // _EVAL_ROWS)
+    return [n * i // k for i in range(k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +239,9 @@ class Network:
         own entry: noise layers redraw nothing, so finite-difference probes
         see a fixed stochastic map, and batch norm keeps its running stats.
 
+        Eval mode runs the stack once per row block (``_eval_bounds``); an
+        input of one block returns the output layer's array itself.
+
         In eval mode ReLU and batch-norm layers overwrite their input.  That
         is safe in every stack ``build_network`` makes: their input is always
         the output of a dense or batch-norm layer, possibly passed unchanged
@@ -237,11 +261,19 @@ class Network:
         replays = reuse.layer_caches if reuse is not None else [None] * len(self.layers)
         self._token += 1
         cache = _Cache(token=self._token, mode=mode)
-        h = x
-        for layer, replay in zip(self.layers, replays, strict=True):
-            h, c = layer.forward(h, mode, rng, replay)
-            cache.layer_caches.append(c)
-        return h, cache
+        n = x.shape[0]
+        logits = None
+        for lo, hi in pairwise(_eval_bounds(n) if mode == "eval" else (0, n)):
+            h = x[lo:hi]
+            cache.layer_caches.clear()
+            for layer, replay in zip(self.layers, replays, strict=True):
+                h, c = layer.forward(h, mode, rng, replay)
+                cache.layer_caches.append(c)
+            if hi - lo < n:
+                if logits is None:
+                    logits = np.empty((n, h.shape[1]))
+                logits[lo:hi] = h
+        return (h if logits is None else logits), cache
 
     def backward(self, cache: _Cache, dlogits) -> dict[str, np.ndarray]:
         """Exact gradients of the realized loss for every parameter.
@@ -331,12 +363,16 @@ def gaussian_mixture_data(
 
 
 @contextmanager
-def _workspace(model: Network, rows: int):
+def _workspace(model: Network, *sizes: int):
     """Give the dense layers their train-scoped buffers; take them back on exit.
 
-    Every dense layer below the topmost one gets an eval-output buffer of
-    ``rows`` rows, so the topmost still allocates what ``forward`` returns.
+    Every dense layer below the topmost one gets an eval-output buffer with
+    as many rows as the largest eval block of an input of any of ``sizes``
+    rows, at most 2 * ``_EVAL_ROWS`` - 1 however large the input; each
+    block writes its leading rows.  The topmost layer still allocates what
+    ``forward`` returns.
     """
+    rows = max(hi - lo for n in sizes for lo, hi in pairwise(_eval_bounds(n)))
     dense = [layer for layer in model.layers if isinstance(layer, _Dense)]
     try:
         for layer in dense:
@@ -376,7 +412,7 @@ def train(
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     n = x_train.shape[0]
     history = []
-    with _workspace(model, max(n, 0 if x_val is None else len(x_val))):
+    with _workspace(model, n, 0 if x_val is None else len(x_val)):
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n)
             for start in range(0, n, config.batch_size):

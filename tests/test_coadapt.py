@@ -220,9 +220,26 @@ def test_reduction_factor_rotation_large_dim_limit():
 
 def test_reduction_factors_monotone_in_keep_rate():
     ps = np.linspace(0.05, 1.0, 30)
-    for method in ("dropout", "rotation"):
-        vals = [reduction_factor(method, p, 8) for p in ps]
-        assert np.all(np.diff(vals) > 0)
+    assert np.all(np.diff([reduction_factor("dropout", p, 8) for p in ps]) > 0)
+    # at D = 8, lam r = (1 - p) / (7 p) reaches 1 at p = 1/8: the rotation
+    # factor |8 p - 1| / 7 rises with p above that keep rate, is zero there
+    # and rises again as p falls below it
+    above = np.linspace(1 / 8, 1.0, 30)
+    below = np.linspace(0.05, 1 / 8, 10)
+    assert np.all(np.diff([reduction_factor("rotation", p, 8) for p in above]) > 0)
+    assert reduction_factor("rotation", 1 / 8, 8) == pytest.approx(0.0, abs=1e-15)
+    assert np.all(np.diff([reduction_factor("rotation", p, 8) for p in below]) < 0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_rotation_reduction_factor_is_predicted_factor_across_lam_r_one(dim):
+    # lam r = 1 at p = 1/2 for D = 2, 1/4 for D = 3 and 4, and 1/8 for D = 8;
+    # below it the noise flips the sign of the off-diagonal covariance
+    stats = CovStats(n=100, mean=np.zeros(dim), cov=equicorrelated(dim, 0.5))
+    for p in np.linspace(0.05, 1.0, 20):
+        closed = reduction_factor("rotation", p, dim)
+        assert closed >= 0.0
+        assert predicted_factor(stats, "rotation", p) == pytest.approx(closed, rel=1e-12, abs=1e-15)
 
 
 def test_predicted_factor_reduces_to_closed_form_at_zero_mean():
@@ -249,6 +266,18 @@ def test_verify_reduction_equicorrelated():
         assert report.observed_factor == pytest.approx(target, abs=0.015)
         assert report.stderr < 0.02
         assert 0.0 <= report.observed_factor <= 1.0 + 5 * report.stderr
+
+
+def test_verify_reduction_past_the_sign_flip():
+    # D = 3, p = 0.2: lam r = 4/3 > 1, so the noise flips the sign of the
+    # off-diagonal covariance, and the factor is |1 - 4/3| / (1 + 8/3) = 1/11.
+    # 4e5 draws; the stderr comes from 20 chunks, so |z| < 6 fails by chance
+    # with probability about 9e-6 (t, 19 degrees of freedom)
+    rng = np.random.default_rng(1)
+    report = verify_reduction(GaussianSource(equicorrelated(3, 0.5)), "rotation", 0.2, 400_000, rng)
+    assert reduction_factor("rotation", 0.2, 3) == pytest.approx(1 / 11, rel=1e-12)
+    assert report.predicted_factor == pytest.approx(1 / 11, rel=1e-12)
+    assert abs(report.observed_factor - 1 / 11) < 6 * report.stderr
 
 
 def test_verify_reduction_diagonal_source_is_flagged():

@@ -467,10 +467,7 @@ def held_buffers(model):
     ]
 
 
-@pytest.mark.parametrize("stack", sorted(STACKS))
-def test_train_matches_reference_loop_bit_for_bit(stack):
-    # 42 rows in batches of 8 leave a last batch of 2; the validation set
-    # is the larger, so the train-set eval runs on a leading-row view
+def assert_train_matches_reference(stack):
     config = TrainConfig(epochs=4, batch_size=8)
     model, data = overfit_setup(stack)
     reference, _ = overfit_setup(stack)
@@ -480,6 +477,21 @@ def test_train_matches_reference_loop_bit_for_bit(stack):
     for name, p in reference.params().items():
         np.testing.assert_array_equal(model.params()[name], p)
     assert held_buffers(model) == []
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_train_matches_reference_loop_bit_for_bit(stack):
+    # 42 rows in batches of 8 leave a last batch of 2; the validation set
+    # is the larger, so the train-set eval runs on a leading-row view
+    assert_train_matches_reference(stack)
+
+
+@pytest.mark.parametrize("stack", sorted(STACKS))
+def test_train_matches_reference_loop_over_several_eval_blocks(stack, monkeypatch):
+    # with a 16-row floor the 90 validation rows run as 5 blocks of 18 and
+    # the 42 train rows as 2 blocks of 21, the larger, which sizes the buffers
+    monkeypatch.setattr(network, "_EVAL_ROWS", 16)
+    assert_train_matches_reference(stack)
 
 
 def test_train_releases_its_workspace_when_it_raises():
@@ -527,3 +539,85 @@ def test_an_epoch_allocates_no_eval_sized_array(monkeypatch):
     assert len(marks) == 4
     growth = [peak - previous for (previous, _), (_, peak) in zip(marks, marks[1:])]
     assert max(growth) < n_val * width * 8, growth
+
+
+# ---------------------------------------------------------------------------
+# the eval pass in row blocks
+
+
+def trained_model(stack="rotation-bn", seed=0):
+    """A stack whose batch norm has running statistics to evaluate with."""
+    model, (x_tr, y_tr, _, _) = overfit_setup(stack, seed=seed)
+    train(model, x_tr, y_tr, TrainConfig(epochs=1, batch_size=8), np.random.default_rng(seed + 7))
+    return model
+
+
+def eval_bounds(n, floor):
+    k = max(1, n // floor)
+    return [n * i // k for i in range(k + 1)]
+
+
+def test_blocked_eval_is_its_blocks_concatenated(monkeypatch):
+    monkeypatch.setattr(network, "_EVAL_ROWS", 8)
+    model = trained_model()
+    x = np.random.default_rng(20).standard_normal((45, 10))
+    bounds = eval_bounds(len(x), 8)
+    assert len(bounds) == 6  # five blocks of 9 rows, each one block on its own
+    logits, _ = model.forward(x, mode="eval")
+    blocks = [model.forward(x[lo:hi], mode="eval")[0] for lo, hi in zip(bounds, bounds[1:])]
+    np.testing.assert_array_equal(logits, np.concatenate(blocks))
+    np.testing.assert_allclose(logits, reference_eval(model, x), rtol=1e-12)
+
+
+def test_no_eval_block_is_shorter_than_the_floor(monkeypatch):
+    floor = 8
+    monkeypatch.setattr(network, "_EVAL_ROWS", floor)
+    model = trained_model("baseline")
+    seen = []
+    dense_forward = _Dense.forward
+
+    def recording_forward(self, x, mode, rng, replay):
+        if self is model.layers[0]:
+            seen.append(x.shape[0])
+        return dense_forward(self, x, mode, rng, replay)
+
+    monkeypatch.setattr(_Dense, "forward", recording_forward)
+    x = np.random.default_rng(21).standard_normal((100, 10))
+    for n in range(1, 101):
+        seen.clear()
+        model.forward(x[:n], mode="eval")
+        assert sum(seen) == n
+        assert len(seen) == max(1, n // floor)
+        assert min(seen) >= min(n, floor)
+        assert max(seen) - min(seen) <= 1
+
+
+def test_workspace_buffers_hold_the_largest_eval_block():
+    model, _ = overfit_setup("baseline")
+    for sizes, rows in (((200, 4000), 1334), ((2047, 4000), 2047), ((200,), 200)):
+        with _workspace(model, *sizes):
+            assert {layer.eval_out.shape[0] for layer in model.layers[:-1]
+                    if isinstance(layer, _Dense)} == {rows}
+
+
+def test_eval_peak_memory_does_not_grow_with_the_rows(monkeypatch):
+    floor, n, classes = 64, 256, 2
+    monkeypatch.setattr(network, "_EVAL_ROWS", floor)
+    model = trained_model()
+    width = max(layer.w.shape[0] for layer in model.layers if isinstance(layer, _Dense))
+    x = np.random.default_rng(22).standard_normal((4 * n, 10))
+    peaks = []
+    tracemalloc.start()
+    try:
+        model.forward(x[:n], mode="eval")  # warm-up: first-call allocations
+        for rows in (n, 4 * n):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.forward(x[:rows], mode="eval")
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    # both inputs run in blocks of 64 rows; only the logits grow
+    extra_logits = 3 * n * classes * 8
+    one_block = floor * width * 8
+    assert peaks[1] - peaks[0] <= extra_logits + one_block, peaks
