@@ -11,14 +11,14 @@ need: ReLU and batch normalization write their results into the arrays
 they receive, which are always arrays the network allocated itself, never
 the caller's input.  It runs the layer stack over k = max(1, n //
 ``_EVAL_ROWS``) near-equal row blocks and writes each block's logits into
-one (n, classes) result, so its working set is one block's activations,
-whatever the number of rows.  Every block has at least ``_EVAL_ROWS`` =
-1024 rows, and an input under 2048 rows is one block.  The floor keeps
-the bits: every row's arithmetic is elementwise or one row of a matrix
-product, but OpenBLAS picks its kernel by the product's shape, and with
-OpenBLAS 0.3.31 the 256 -> 2 output product of a 600-row block rounds
-differently from the same rows inside a 4000-row product, while from
-about 930 rows up the bits agree.
+one (n, classes) result, so its working set is one block's activations
+however many rows it evaluates; an input under 2048 rows is one block.
+Each row's arithmetic is elementwise or one row of a matrix product, but
+OpenBLAS picks its kernel by the product's shape: with OpenBLAS 0.3.31
+the 256 -> 2 output product of a block of 600 or fewer rows rounds
+differently from the same rows inside a 4000-row product, while larger
+blocks agree bit for bit.  Blocks of at least ``_EVAL_ROWS`` = 1024 rows
+keep the bits with a margin.
 
 ``train`` holds a workspace for the length of one call and releases it in
 a ``finally``: every hidden dense layer writes its eval output into one
@@ -26,14 +26,14 @@ buffer sized for the largest eval block of the train and validation sets,
 and every dense layer writes its weight gradient into one buffer.  The
 output layer still allocates its small logits, so ``forward`` never
 returns workspace memory.  The buffers exist because of page faults, not
-arithmetic.  A fresh 4000 x 256 activation, as the eval made before it
-ran in blocks, is large enough for numpy to ask for huge pages, and glibc
-hands it back to the kernel when it is freed, so every epoch's eval
-faulted its activations in again and the train steps then re-faulted their own working set: about
-680k minor faults per round of the benchmark's ``overfit`` workload,
-against about 5k with the buffers.  Outside ``train`` no layer holds a
-buffer.  The matrix products are the same calls with ``out=``, so every
-result keeps its bits.
+arithmetic.  A fresh 4000 x 256 activation, as the unblocked eval made,
+is large enough for numpy to ask for huge pages, and glibc hands it back
+to the kernel when it is freed, so every epoch's eval faulted its
+activations in again and the train steps then re-faulted their own
+working set: about 680k minor faults per round of the benchmark's
+``overfit`` workload, against about 5k with the buffers.  Outside
+``train`` no layer holds a buffer.  The matrix products are the same
+calls with ``out=``, so every result keeps its bits.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class TrainConfig:
             raise ValueError("batch size must be at least 2 for batch statistics")
 
 
-# Fewest rows in an eval block; see the module docstring for why not fewer.
+# fewest rows in an eval block (module docstring)
 _EVAL_ROWS = 1024
 
 
