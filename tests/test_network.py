@@ -552,17 +552,11 @@ def trained_model(stack="rotation-bn", seed=0):
     return model
 
 
-def eval_bounds(n, floor):
-    k = max(1, n // floor)
-    return [n * i // k for i in range(k + 1)]
-
-
 def test_blocked_eval_is_its_blocks_concatenated(monkeypatch):
     monkeypatch.setattr(network, "_EVAL_ROWS", 8)
     model = trained_model()
     x = np.random.default_rng(20).standard_normal((45, 10))
-    bounds = eval_bounds(len(x), 8)
-    assert len(bounds) == 6  # five blocks of 9 rows, each one block on its own
+    bounds = range(0, 46, 9)  # 45 // 8 = 5 blocks of 9 rows, each one block on its own
     logits, _ = model.forward(x, mode="eval")
     blocks = [model.forward(x[lo:hi], mode="eval")[0] for lo, hi in zip(bounds, bounds[1:])]
     np.testing.assert_array_equal(logits, np.concatenate(blocks))
