@@ -223,7 +223,7 @@ def standardized_sampler(dist: str):
 
 # companion rows drawn at once by mc_nonlinearity_curve
 _CURVE_BLOCK = 100_000
-# companion values drawn at once by noise_budget
+# companion values drawn at once by _companion_moments
 _BUDGET_ELEMENTS = 2**17
 # batches drawn at once by cross_normalization_curve
 _CN_CHUNK = 5000
@@ -234,10 +234,29 @@ def _check_batch_size(batch_size: int) -> None:
         raise ValueError("batch size must be at least 2")
 
 
-def _companion_moments(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and 1/n variance of companion draws along the last axis."""
-    m = z.mean(axis=-1)
-    s2 = np.mean((z - m[..., None]) ** 2, axis=-1)
+def _companion_moments(rows: int, batch_size: int, draw, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and 1/n variance of each of ``rows`` rows of B - 1 companions.
+
+    The companions are drawn in whole rows, about ``_BUDGET_ELEMENTS``
+    values at a time, which takes the same random stream as one
+    ``(rows, B - 1)`` draw.  A row's moments depend only on that row, so
+    neither result depends on the chunk size.  Deviations are squared in
+    one chunk of scratch; the arrays ``draw`` returns are never written.
+    """
+    width = batch_size - 1
+    step = max(1, _BUDGET_ELEMENTS // width)
+    # chunk buffers before m and s2: freed, they leave a hole below them, not
+    # a heap top that malloc hands back to the system and faults in per call
+    z = draw((min(step, rows), width), rng)
+    scratch = np.empty(z.shape)
+    m = np.empty(rows)
+    s2 = np.empty(rows)
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        if lo:
+            z = draw((hi - lo, width), rng)
+        dev = np.subtract(z, np.mean(z, axis=-1, out=m[lo:hi])[:, None], out=scratch[: hi - lo])
+        np.mean(np.square(dev, out=dev), axis=-1, out=s2[lo:hi])
     return m, s2
 
 
@@ -265,9 +284,11 @@ def train_statistic_samples(
     is evaluated through the leave-one-out identity of ``_normalized_value``.
     On the standardized scale the test-mode output of ``x`` is ``x``
     itself, so these draws are directly comparable to the abscissa.
+    ``draw(shape, rng)`` is called on chunks of whole rows, taking the
+    random stream of one ``(n, B - 1)`` draw; what it returns is only read.
     """
     _check_batch_size(batch_size)
-    m, s2 = _companion_moments(draw((n, batch_size - 1), rng))
+    m, s2 = _companion_moments(n, batch_size, draw, rng)
     return _normalized_value(x, m, s2, batch_size)
 
 
@@ -299,12 +320,14 @@ def mc_nonlinearity_curve(
 
     The companions' mean and variance do not depend on the held point, so
     every grid point is evaluated against the same ``n_mc`` companion
-    draws (common random numbers), drawn in blocks whose per-point means
-    and sums of squared deviations are merged exactly.  ``f_var`` and
-    ``stderr`` are per point and marginal: each point's estimate is
-    unbiased with that standard error, but the errors of different grid
-    points are correlated, so their stderrs do not combine as if the
-    points were independent.  The random draws do not depend on the grid.
+    draws (common random numbers).  Only their per-row moments are kept,
+    in blocks of ``_CURVE_BLOCK`` rows whose per-point means and sums of
+    squared deviations are merged exactly, so memory does not grow with
+    the batch size.  ``f_var`` and ``stderr`` are per point and marginal:
+    each point's estimate is unbiased with that standard error, but the
+    errors of different grid points are correlated, so their stderrs do
+    not combine as if the points were independent.  The random draws do
+    not depend on the grid.
     """
     draw = standardized_sampler(dist)
     _check_batch_size(batch_size)
@@ -315,7 +338,7 @@ def mc_nonlinearity_curve(
     done = 0
     while done < n_mc:
         rows = min(_CURVE_BLOCK, n_mc - done)
-        m, s2 = _companion_moments(draw((rows, batch_size - 1), rng))
+        m, s2 = _companion_moments(rows, batch_size, draw, rng)
         block_mean = np.empty_like(grid)
         block_sq_dev = np.empty_like(grid)
         for k, x in enumerate(grid):
@@ -424,10 +447,10 @@ def noise_budget(
     draws estimate the conditional variance of the normalized value with an
     unbiased sample variance.  Returns (estimate, standard error).
 
-    The inner companions of a block of outer points come from one
-    ``(k, n_inner, B - 1)`` draw, which takes the same random stream as
-    one draw per point, so the result for a given generator state does
-    not depend on the block size.
+    The inner companions of a block of k outer points are reduced to the
+    moments of k * n_inner rows by ``_companion_moments``, which takes the
+    same random stream as one draw per point, so the result for a given
+    generator state depends on neither the block nor the chunk size.
     """
     draw = standardized_sampler(dist)
     _check_batch_size(batch_size)
@@ -438,7 +461,8 @@ def noise_budget(
     step = max(1, _BUDGET_ELEMENTS // (n_inner * (batch_size - 1)))
     for start in range(0, n_outer, step):
         x = xs[start : start + step, None]
-        m, s2 = _companion_moments(draw((x.shape[0], n_inner, batch_size - 1), rng))
+        m, s2 = _companion_moments(x.shape[0] * n_inner, batch_size, draw, rng)
+        m, s2 = m.reshape(-1, n_inner), s2.reshape(-1, n_inner)
         v[start : start + step] = _normalized_value(x, m, s2, batch_size).var(axis=-1, ddof=1)
     return float(v.mean()), float(v.std(ddof=1) / np.sqrt(n_outer))
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,7 +30,8 @@ from rotnoise import (
     variance_shift,
     verify_reduction,
 )
-from rotnoise.batchnorm import _CURVE_BLOCK, DISTRIBUTIONS, NonlinearityCurve
+from rotnoise import batchnorm
+from rotnoise.batchnorm import _BUDGET_ELEMENTS, _CURVE_BLOCK, DISTRIBUTIONS, NonlinearityCurve
 
 
 ALL_DISTS = list(DISTRIBUTIONS)
@@ -291,6 +293,67 @@ def test_curve_random_draws_do_not_depend_on_the_grid():
         mc_nonlinearity_curve("gaussian", 8, rng, grid=grid, n_mc=5_000)
         states.append(rng.bit_generator.state)
     assert states[0] == states[1]
+
+
+# ---------------------------------------------------------------------------
+# companion moments drawn in chunks
+
+
+def companion_kernels(rng):
+    """Every kernel that reduces companion draws to moments, on one stream."""
+    f = train_statistic_samples(0.4, 8, 1_001, standardized_sampler("laplace"), rng)
+    curve = mc_nonlinearity_curve("uniform", 8, rng, grid=np.array([-1.5, 0.2]), n_mc=2_003)
+    budget = noise_budget(8, "gaussian", rng, n_outer=7, n_inner=301)
+    return [f, curve.f_expect, curve.f_var, curve.stderr, np.array(budget)]
+
+
+@pytest.mark.parametrize("elements", [1, 26])  # one row per chunk; 3 rows of 7, not 26 values
+def test_companion_chunks_change_no_bit(monkeypatch, elements):
+    rng = np.random.default_rng(35)
+    expected = companion_kernels(rng)
+    monkeypatch.setattr(batchnorm, "_BUDGET_ELEMENTS", elements)
+    chunked_rng = np.random.default_rng(35)
+    for got, want in zip(companion_kernels(chunked_rng), expected):
+        np.testing.assert_array_equal(got, want)
+    assert chunked_rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_train_statistic_samples_leaves_the_drawn_array_alone(monkeypatch):
+    monkeypatch.setattr(batchnorm, "_BUDGET_ELEMENTS", 26)  # 17 chunks of 3 rows
+    held = np.random.default_rng(36).standard_normal((50, 7))
+    before = held.copy()
+    taken = 0
+
+    def draw(shape, rng):  # successive views of the caller's array
+        nonlocal taken
+        taken += shape[0]
+        return held[taken - shape[0] : taken]
+
+    f = train_statistic_samples(0.3, 8, 50, draw, None)
+    np.testing.assert_array_equal(held, before)
+    m = before.mean(axis=1)
+    s2 = np.mean((before - m[:, None]) ** 2, axis=1)
+    d = 0.3 - m
+    np.testing.assert_array_equal(f, np.sqrt(7 / 8) * d / np.sqrt(s2 + d**2 / 8))
+
+
+@pytest.mark.parametrize("b", [8, 64])
+def test_curve_peak_memory_does_not_grow_with_the_batch(b):
+    rows = _CURVE_BLOCK  # 1e5 draws: one block
+    bound = 8 * (
+        2 * rows  # m and s2
+        + 2 * _BUDGET_ELEMENTS  # one chunk of companions and its scratch
+        + 5 * rows  # the row-sized temporaries of one grid point's statistic
+    ) + 2**16  # the grid-sized arrays
+    rng = np.random.default_rng(37)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        mc_nonlinearity_curve("gaussian", b, rng, n_mc=rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < bound, (peak - start, bound)
 
 
 PROBLEM = RegressionProblem(np.eye(3), np.ones(3), 0.5)
