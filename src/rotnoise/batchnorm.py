@@ -223,7 +223,7 @@ def standardized_sampler(dist: str):
 
 # companion rows drawn at once by mc_nonlinearity_curve
 _CURVE_BLOCK = 100_000
-# companion values drawn at once by _companion_moments
+# companion values drawn at once, and per block of noise_budget's outer points
 _BUDGET_ELEMENTS = 2**17
 # batches drawn at once by cross_normalization_curve
 _CN_CHUNK = 5000
