@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise_ops import BernoulliDropout
-from .rotation import _check_budget, _strength
+from .rotation import Estimate, _check_budget, _estimate, _strength
 
 __all__ = [
     "BatchNormState",
@@ -31,6 +31,7 @@ __all__ = [
     "cross_normalization_curve",
     "PolyFit",
     "fit_poly_correction",
+    "affine_residuals",
     "evaluate_odd_poly",
     "default_poly_grid",
     "noise_budget",
@@ -260,7 +261,7 @@ def _companion_moments(rows: int, batch_size: int, draw, rng) -> tuple[np.ndarra
     return m, s2
 
 
-def _normalized_value(x, m, s2, batch_size: int):
+def _normalized_value(x, m, s2, batch_size: int, out, scratch):
     """Train-mode normalized value of ``x`` from its companions' moments.
 
     The exact identity
@@ -269,10 +270,14 @@ def _normalized_value(x, m, s2, batch_size: int):
           = sqrt((B-1)/B) * (x - m) / sqrt(s^2 + (x - m)^2 / B)
 
     where m and s^2 are the mean and 1/n variance of the B - 1 companions.
+    It is written into ``out``, with the denominator in ``scratch``.
     """
     b = batch_size
-    delta = x - m
-    return np.sqrt((b - 1.0) / b) * delta / np.sqrt(s2 + delta**2 / b)
+    delta = np.subtract(x, m, out=out)
+    denom = np.divide(np.square(delta, out=scratch), b, out=scratch)
+    np.sqrt(np.add(s2, denom, out=denom), out=denom)
+    delta *= np.sqrt((b - 1.0) / b)
+    return np.divide(delta, denom, out=delta)
 
 
 def train_statistic_samples(
@@ -289,7 +294,7 @@ def train_statistic_samples(
     """
     _check_batch_size(batch_size)
     m, s2 = _companion_moments(n, batch_size, draw, rng)
-    return _normalized_value(x, m, s2, batch_size)
+    return _normalized_value(x, m, s2, batch_size, np.empty(n), np.empty(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,12 +344,14 @@ def mc_nonlinearity_curve(
     while done < n_mc:
         rows = min(_CURVE_BLOCK, n_mc - done)
         m, s2 = _companion_moments(rows, batch_size, draw, rng)
+        f = np.empty(rows)
+        dev = np.empty(rows)
         block_mean = np.empty_like(grid)
         block_sq_dev = np.empty_like(grid)
         for k, x in enumerate(grid):
-            f = _normalized_value(float(x), m, s2, batch_size)
+            _normalized_value(float(x), m, s2, batch_size, f, dev)
             block_mean[k] = f.mean()
-            block_sq_dev[k] = np.sum((f - block_mean[k]) ** 2)
+            block_sq_dev[k] = np.sum(np.square(np.subtract(f, block_mean[k], out=dev), out=dev))
         # pairwise merge of (count, mean, sum of squared deviations),
         # Chan, Golub & LeVeque
         total = done + rows
@@ -423,15 +430,26 @@ def evaluate_odd_poly(coeffs, x) -> np.ndarray:
     return coeffs[0] * x + coeffs[1] * x**3 + coeffs[2] * x**5 + coeffs[3] * x**7
 
 
+def _fit_mean_curve(basis: np.ndarray, curve: NonlinearityCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of the mean curve on ``basis``; residual mean - fit."""
+    coeffs, *_ = np.linalg.lstsq(basis, curve.f_expect, rcond=None)
+    return coeffs, curve.f_expect - basis @ coeffs
+
+
 def fit_poly_correction(curve: NonlinearityCurve) -> PolyFit:
     """Least-squares odd polynomial mapping the test grid to the mean curve."""
     t = curve.x_test
     if t.size < 4:
         raise ValueError("need at least 4 grid points to fit 4 coefficients")
-    basis = np.stack([t, t**3, t**5, t**7], axis=1)
-    coeffs, *_ = np.linalg.lstsq(basis, curve.f_expect, rcond=None)
-    resid = basis @ coeffs - curve.f_expect
+    coeffs, resid = _fit_mean_curve(np.stack([t, t**3, t**5, t**7], axis=1), curve)
     return PolyFit(coeffs=coeffs, rmse=float(np.sqrt(np.mean(resid**2))))
+
+
+def affine_residuals(curve: NonlinearityCurve) -> np.ndarray:
+    """Residual, mean - fit, of the least-squares line through the mean curve
+    (pure Monte-Carlo noise on ``cross_normalization_curve``, which is affine)."""
+    t = curve.x_test
+    return _fit_mean_curve(np.stack([t, np.ones_like(t)], axis=1), curve)[1]
 
 
 def noise_budget(
@@ -440,12 +458,12 @@ def noise_budget(
     rng: np.random.Generator,
     n_outer: int = 4000,
     n_inner: int = 2000,
-) -> tuple[float, float]:
+) -> Estimate:
     """Average conditional variance of the train statistic over the data.
 
     Nested Monte Carlo: outer draws follow the source distribution, inner
     draws estimate the conditional variance of the normalized value with an
-    unbiased sample variance.  Returns (estimate, standard error).
+    unbiased sample variance.  Returns its ``Estimate`` over the outer draws.
 
     The inner companions of a block of k outer points are reduced to the
     moments of k * n_inner rows by ``_companion_moments``, which takes the
@@ -459,12 +477,16 @@ def noise_budget(
     xs = draw(n_outer, rng)
     v = np.empty(n_outer)
     step = max(1, _BUDGET_ELEMENTS // (n_inner * (batch_size - 1)))
+    out = np.empty((min(step, n_outer), n_inner))
+    scratch = np.empty(out.shape)
     for start in range(0, n_outer, step):
         x = xs[start : start + step, None]
-        m, s2 = _companion_moments(x.shape[0] * n_inner, batch_size, draw, rng)
+        k = x.shape[0]
+        m, s2 = _companion_moments(k * n_inner, batch_size, draw, rng)
         m, s2 = m.reshape(-1, n_inner), s2.reshape(-1, n_inner)
-        v[start : start + step] = _normalized_value(x, m, s2, batch_size).var(axis=-1, ddof=1)
-    return float(v.mean()), float(v.std(ddof=1) / np.sqrt(n_outer))
+        f = _normalized_value(x, m, s2, batch_size, out[:k], scratch[:k])
+        v[start : start + step] = f.var(axis=-1, ddof=1)
+    return _estimate(v)
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,13 @@ import numpy as np
 
 from . import __version__
 from .batchnorm import (
+    affine_residuals,
     cross_normalization_curve,
     fit_poly_correction,
     mc_nonlinearity_curve,
     noise_budget,
     variance_shift,
 )
-# unused here since cn-check calls cross_normalization_curve; kept because
-# perfbench's tracer self-test checks cli.cross_normalize as a binding site
-from .batchnorm import cross_normalize  # noqa: F401
 from .coadapt import verify_reduction
 from .linreg import (
     RegressionProblem,
@@ -43,17 +41,15 @@ from .linreg import (
 )
 from .network import TrainConfig, train_and_report
 from .noise_ops import NoiseOpSpec
-from .rotation import (
-    RotationRealization,
-    _check_budget,
-    apply_rotation,
-    apply_rotation_transpose,
-    gaussian_tangent,
-    rotation_matrix,
-    sample_batch_rotation,
-    sample_pairing,
-)
+from .rotation import gaussian_tangent, rotation_invariants
 from .sources import GaussianSource, ReluGaussianSource, equicorrelated, random_correlation
+
+# unused here, since cn-check calls cross_normalization_curve and
+# verify-rotation calls rotation_invariants; kept because perfbench's tracer
+# self-test checks cli.cross_normalize and cli.sample_batch_rotation as
+# binding sites
+from .batchnorm import cross_normalize  # noqa: F401
+from .rotation import sample_batch_rotation  # noqa: F401
 
 __all__ = ["main", "load_config", "ConfigError"]
 
@@ -237,61 +233,10 @@ def _write_manifest(outdir: Path, command: str, merged: dict) -> None:
 
 def _run_verify_rotation(merged: dict, outdir: Path, rng: np.random.Generator):
     dim = merged["dim"]
-    angles = gaussian_tangent(merged["sigma"])
-    n_real = merged["realizations"]
-    n_mc = int(merged["samples"])
-    _check_budget("samples", n_mc)
-    rows = []
-
-    x = rng.standard_normal(dim)
-    g = rng.standard_normal(dim)
-    worst = {"dense": 0.0, "adjoint": 0.0, "roundtrip": 0.0, "pair": 0.0, "angle": 0.0, "norm": 0.0}
-    for _ in range(n_real):
-        pairing = sample_pairing(dim, rng)
-        theta = float(np.arctan(angles.sample_tangents((), rng)))
-        real = RotationRealization(pairing, np.tan(theta))
-        y = apply_rotation(x, real)
-        dense = rotation_matrix(pairing, theta) @ x
-        worst["dense"] = max(worst["dense"], float(np.abs(y - dense).max()))
-        gt = apply_rotation_transpose(g, real)
-        worst["adjoint"] = max(worst["adjoint"], abs(float(y @ g - x @ gt)) / max(1.0, abs(float(y @ g))))
-        scale = np.full(dim, 1.0 + np.tan(theta) ** 2)
-        if pairing.fixed is not None:
-            scale[pairing.fixed] = 1.0  # the unpaired coordinate passes through
-        back = apply_rotation_transpose(y, real) / scale
-        worst["roundtrip"] = max(worst["roundtrip"], float(np.abs(back - x).max()))
-        i, j = pairing.pairs[0]
-        pair_direct = np.array([x[i] + np.tan(theta) * x[j], x[j] - np.tan(theta) * x[i]])
-        worst["pair"] = max(worst["pair"], float(np.abs(np.array([y[i], y[j]]) - pair_direct).max()))
-        if dim % 2 == 0:
-            cos = float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)))
-            worst["angle"] = max(worst["angle"], abs(cos - np.cos(theta)))
-            worst["norm"] = max(
-                worst["norm"],
-                abs(float(y @ y) - float(x @ x) * (1 + np.tan(theta) ** 2)) / float(x @ x),
-            )
-
-    for name, key, bound in [
-        ("dense-equivalence", "dense", 1e-12),
-        ("adjoint-identity", "adjoint", 1e-12),
-        ("roundtrip", "roundtrip", 1e-12),
-        ("pair-law", "pair", 1e-12),
-        ("angle-cosine", "angle", 1e-10),
-        ("norm-scaling", "norm", 1e-12),
-    ]:
-        if dim % 2 and key in ("angle", "norm"):
-            continue
-        rows.append((name, dim, worst[key], bound, worst[key] < bound))
-
-    # zero-centered noise: Monte-Carlo mean of rotated copies returns x
-    tile = np.broadcast_to(x, (n_mc, dim))
-    batch = sample_batch_rotation(n_mc, dim, angles, rng)
-    out = batch.apply(tile)
-    err = np.abs(out.mean(axis=0) - x)
-    stderr = out.std(axis=0, ddof=1) / np.sqrt(n_mc)
-    z = float((err / stderr).max())
-    rows.append(("zero-centered-mean", dim, z, 4.0, z < 4.0))
-
+    invariants = rotation_invariants(
+        dim, gaussian_tangent(merged["sigma"]), merged["realizations"], int(merged["samples"]), rng
+    )
+    rows = [(name, dim, stat, bound, stat < bound) for name, stat, bound in invariants]
     _write_csv(outdir / "rotation_invariants.csv",
                ["invariant", "dim", "statistic", "bound", "passed"], rows)
     if not all(r[-1] for r in rows):
@@ -397,14 +342,7 @@ def _run_cn_check(merged: dict, outdir: Path, rng: np.random.Generator):
         raise ConfigError("config key 'batch' must be at least 3 for cross-normalization")
     grid = np.linspace(-merged["grid_max"], merged["grid_max"], merged["points"])
     curve = cross_normalization_curve(b, rng, grid, int(merged["samples"]), merged["normalizer"])
-    means = curve.f_expect
-    design = np.stack([grid, np.ones_like(grid)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, means, rcond=None)
-    resid = means - design @ coef
-    rows = [
-        (float(x1), float(m), float(e), float(r))
-        for x1, m, e, r in zip(grid, means, curve.stderr, resid)
-    ]
+    rows = zip(grid, curve.f_expect, curve.stderr, affine_residuals(curve))
     _write_csv(outdir / "cn_linearity.csv",
                ["x1", "mean_output", "stderr", "fit_residual"], rows)
 

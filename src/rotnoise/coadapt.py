@@ -19,7 +19,7 @@ from itertools import pairwise
 import numpy as np
 
 from .noise_ops import NoiseOpSpec, make_noise_op
-from .rotation import _check_budget, _strength
+from .rotation import _check_budget, _estimate, _strength
 
 __all__ = [
     "CovStats",
@@ -56,14 +56,6 @@ class CovStats:
             raise ValueError("covariance diagonal must be nonnegative")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
-
-    @classmethod
-    def from_samples(cls, x) -> "CovStats":
-        """Unbiased (n - 1 normalized) statistics of an (n, D) sample."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 2:
-            raise ValueError("covariance statistics need at least 2 samples")
-        return cls(n=x.shape[0], mean=x.mean(axis=0), cov=np.cov(x.T, ddof=1).reshape(x.shape[1], x.shape[1]))
 
     @property
     def dim(self) -> int:
@@ -256,7 +248,7 @@ def verify_reduction(
     predicted = predicted_factor(stats, method, keep_rate)
 
     factors = [_coadaptation_of(co) / _coadaptation_of(ci) for ci, co in zip(splits_in, splits_out)]
-    stderr = float(np.std(factors, ddof=1) / np.sqrt(len(factors)))
+    stderr = _estimate(factors).stderr
 
     return CoadaptReport(
         method, keep_rate, source.dim, int(n_samples), co_in, co_out,

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coadapt import _noise_moment
-from .rotation import _BLOCK, AngleDistribution, BatchRotation, _check_budget, sample_batch_rotation
+from .rotation import _BLOCK, AngleDistribution, BatchRotation, Estimate, _check_budget, _estimate
+from .rotation import sample_batch_rotation
 
 __all__ = [
     "RegressionProblem",
@@ -137,7 +138,7 @@ def marginalized_gradient(
     angles: AngleDistribution,
     n_trials: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Estimate:
     """Monte-Carlo gradient of the noise-marginalized squared loss at ``w``.
 
     Each trial draws a fresh rotation per data point, forms the realized
@@ -163,12 +164,12 @@ def marginalized_gradient(
         xr = rotation.apply(np.tile(X, (hi - lo, 1))).reshape(hi - lo, n, dim)
         resid = y - xr @ w
         grads[lo:hi] = ((-2.0 * resid)[:, None, :] @ xr)[:, 0]
-    return grads.mean(axis=0), grads.std(axis=0, ddof=1) / np.sqrt(n_trials)
+    return _estimate(grads, axis=0)
 
 
 def dropout_rotation_angle(
     dim: int, keep_rate: float, n_samples: int, rng: np.random.Generator
-) -> tuple[float, float]:
+) -> Estimate:
     """Mean cos^2 of the angle a dropout mask rotates a nonnegative vector by.
 
     Samples vectors with absolute-normal entries, applies a Bernoulli mask,
@@ -203,7 +204,7 @@ def dropout_rotation_angle(
         mask = rng.random((empty.size, dim)) < keep_rate
         reduce_rows(empty, mask)
         empty = empty[~mask.any(axis=1)]
-    return float(cos2.mean()), float(cos2.std(ddof=1) / np.sqrt(n_samples))
+    return _estimate(cos2)
 
 
 def classification_flip_rate(
@@ -212,7 +213,7 @@ def classification_flip_rate(
     angles: AngleDistribution,
     n_samples: int,
     rng: np.random.Generator,
-) -> tuple[float, float]:
+) -> Estimate:
     """Probability that rotation noise changes the nearest-weight decision.
 
     Weight rows are normalized to unit length so the decision is purely
@@ -229,7 +230,7 @@ def classification_flip_rate(
     scores = batch.apply(np.broadcast_to(x, (n_samples, x.size))) @ W.T
     flips = np.argmax(scores, axis=1) != base
     rate = float(flips.mean())
-    return rate, float(np.sqrt(max(rate * (1.0 - rate), 1.0 / n_samples) / n_samples))
+    return Estimate(rate, float(np.sqrt(max(rate * (1.0 - rate), 1.0 / n_samples) / n_samples)))
 
 
 def _angle_scale(angles: AngleDistribution) -> float:

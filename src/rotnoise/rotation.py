@@ -16,8 +16,8 @@ D // 2 entries are paired with the next D // 2, and for odd D the last
 entry is the unpaired coordinate.  A ``Pairing`` stores the one
 permutation that ``sample_pairing`` draws, shared by every row it is
 applied to; ``BatchRotation`` keeps one per row (the ones
-``sample_batch_rotation`` draws with ``argsort``).  Both expose their planes
-and unpaired coordinate as read-only views of the stored permutation.
+``sample_batch_rotation`` draws with ``argsort``).  A ``Pairing`` exposes its
+planes and unpaired coordinate as read-only views of the permutation.
 
 One private kernel applies both forms.  It walks the rows in blocks of
 about 2**15 elements, so its temporaries stay in cache; per block it
@@ -29,10 +29,12 @@ result back once.  The transpose is the same map with the tangent negated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "Estimate",
     "AngleDistribution",
     "Pairing",
     "RotationRealization",
@@ -48,6 +50,7 @@ __all__ = [
     "apply_rotation",
     "apply_rotation_transpose",
     "sample_batch_rotation",
+    "rotation_invariants",
     "apply_featuremap",
     "fixed_direction_sequence",
 ]
@@ -149,6 +152,22 @@ def _check_budget(name: str, value: int, least: int = 2) -> None:
     # one draw gives no sample variance: its standard error would be NaN
     if value < least:
         raise ValueError(f"Monte-Carlo budget {name} must be at least {least}, got {value}")
+
+
+class Estimate(NamedTuple):
+    """A Monte-Carlo estimate and its standard error; unpacks as a pair."""
+
+    value: float | np.ndarray
+    stderr: float | np.ndarray
+
+
+def _estimate(samples, axis=None) -> Estimate:
+    """Mean of ``samples`` and its standard error std(ddof=1) / sqrt(n): floats
+    over all samples (``axis=None``), arrays along an axis."""
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.size if axis is None else samples.shape[axis]
+    est = Estimate(samples.mean(axis=axis), samples.std(axis=axis, ddof=1) / np.sqrt(n))
+    return est if axis is not None else Estimate(*map(float, est))
 
 
 def keep_rate_for(dist: AngleDistribution) -> float:
@@ -337,33 +356,11 @@ class BatchRotation:
 
     Row r pairs ``perm[r, :D // 2]`` with ``perm[r, D // 2 : 2 * (D // 2)]``
     and rotates by ``tangents[r]``; for odd D, ``perm[r, -1]`` is the
-    unpaired coordinate.  ``row_i``, ``row_j`` and ``fixed`` are read-only
-    views of ``perm``.
+    unpaired coordinate.
     """
 
     perm: np.ndarray
     tangents: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.perm.shape[1]
-
-    def _view(self, columns) -> np.ndarray:
-        view = self.perm[:, columns]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def row_i(self) -> np.ndarray:
-        return self._view(slice(0, self.dim // 2))
-
-    @property
-    def row_j(self) -> np.ndarray:
-        return self._view(slice(self.dim // 2, 2 * (self.dim // 2)))
-
-    @property
-    def fixed(self) -> np.ndarray | None:
-        return self._view(-1) if self.dim % 2 else None
 
     def apply(self, x) -> np.ndarray:
         return _rotate(x, self.perm, self.tangents[:, None])
@@ -391,6 +388,54 @@ def sample_batch_rotation(
         perm[lo:hi] = np.argsort(rng.random((hi - lo, dim)), axis=1)
     tangents = np.asarray(angles.sample_tangents(n, rng), dtype=np.float64)
     return BatchRotation(perm=perm, tangents=tangents)
+
+
+def rotation_invariants(
+    dim: int, angles: AngleDistribution, n_realizations: int, n_samples: int, rng: np.random.Generator
+) -> list[tuple[str, float, float]]:
+    """Check the O(D) kernels against the exact laws of the rotation.
+
+    One random x (and cotangent g) passes through ``n_realizations`` draws
+    of (pairing, angle), and each invariant keeps its worst error: R x
+    against ``rotation_matrix`` (dense-equivalence), <R x, g> = <x, R^T g>
+    (adjoint-identity), R^T R x = (1 + tan^2) x off the unpaired coordinate
+    (roundtrip), the first plane's pair formula (pair-law) and, for even D
+    only, cos(x, R x) = cos(theta) (angle-cosine) and |R x|^2 = (1 + tan^2)
+    |x|^2 (norm-scaling).  Last, zero-centered-mean is the largest |z| of
+    the mean of ``n_samples`` rotated copies of x against x.  Returns
+    (name, statistic, bound) rows; a statistic below its bound passes.
+    """
+    _check_budget("n_samples", n_samples)
+    x = rng.standard_normal(dim)
+    g = rng.standard_normal(dim)
+    names = ["dense-equivalence", "adjoint-identity", "roundtrip", "pair-law", "angle-cosine", "norm-scaling"]
+    bounds = [1e-12, 1e-12, 1e-12, 1e-12, 1e-10, 1e-12]
+    worst = [0.0] * (4 if dim % 2 else 6)  # zip below drops the even-D rows
+    for _ in range(n_realizations):
+        pairing = sample_pairing(dim, rng)
+        theta = float(np.arctan(angles.sample_tangents((), rng)))
+        t = np.tan(theta)
+        real = RotationRealization(pairing, t)
+        y = apply_rotation(x, real)
+        scale = np.full(dim, 1.0 + t**2)
+        if pairing.fixed is not None:
+            scale[pairing.fixed] = 1.0  # the unpaired coordinate passes through
+        i, j = pairing.pairs[0]
+        errors = [
+            float(np.abs(y - rotation_matrix(pairing, theta) @ x).max()),
+            abs(float(y @ g - x @ apply_rotation_transpose(g, real))) / max(1.0, abs(float(y @ g))),
+            float(np.abs(apply_rotation_transpose(y, real) / scale - x).max()),
+            float(np.abs(np.array([y[i], y[j]]) - np.array([x[i] + t * x[j], x[j] - t * x[i]])).max()),
+        ]
+        if dim % 2 == 0:
+            cos = float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)))
+            errors += [abs(cos - np.cos(theta)), abs(float(y @ y) - float(x @ x) * (1 + t**2)) / float(x @ x)]
+        worst = [max(w, e) for w, e in zip(worst, errors)]
+
+    batch = sample_batch_rotation(n_samples, dim, angles, rng)
+    mean, stderr = _estimate(batch.apply(np.broadcast_to(x, (n_samples, dim))), axis=0)
+    z = float((np.abs(mean - x) / stderr).max())
+    return [*zip(names, map(float, worst), bounds), ("zero-centered-mean", z, 4.0)]
 
 
 def apply_featuremap(

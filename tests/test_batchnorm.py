@@ -9,6 +9,7 @@ from rotnoise import (
     GaussianSource,
     RegressionProblem,
     ReluGaussianSource,
+    affine_residuals,
     bn_test_forward,
     bn_train_forward,
     classification_flip_rate,
@@ -344,7 +345,7 @@ def test_curve_peak_memory_does_not_grow_with_the_batch(b):
     bound = 8 * (
         2 * rows  # m and s2
         + 2 * _BUDGET_ELEMENTS  # one chunk of companions and its scratch
-        + 5 * rows  # the row-sized temporaries of one grid point's statistic
+        + 2 * rows  # the two buffers of the grid loop
     ) + 2**16  # the grid-sized arrays
     rng = np.random.default_rng(37)
     tracemalloc.start()
@@ -391,6 +392,14 @@ def test_poly_fit_recovers_exact_line():
     fit = fit_poly_correction(curve)
     np.testing.assert_allclose(fit.coeffs, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert fit.rmse < 1e-12
+
+
+def test_affine_residuals_are_mean_minus_fit():
+    grid = np.linspace(-3, 3, 7)
+    bump = grid**2 - np.mean(grid**2)  # orthogonal to 1 and to the symmetric grid
+    for extra, expected in ((0.0, np.zeros(7)), (bump, bump)):
+        curve = NonlinearityCurve("gaussian", 8, grid, 0.8 * grid - 0.25 + extra, np.ones(7), np.ones(7))
+        np.testing.assert_allclose(affine_residuals(curve), expected, atol=1e-13)
 
 
 def test_poly_fit_needs_four_points():

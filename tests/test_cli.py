@@ -202,13 +202,32 @@ def test_train_demo_run(tmp_path):
     assert {r[0] for r in rows} == {"baseline", "rotation"}
 
 
-def test_reruns_are_byte_identical(tmp_path):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    for out in (out_a, out_b):
-        code = run(["coadapt", "--samples", "1e4", "--seed", "3", "--out", str(out)])
-        assert code == 0
-    assert (out_a / "coadaptation.csv").read_bytes() == (out_b / "coadaptation.csv").read_bytes()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["verify-rotation", "--samples", "2e3", "--realizations", "5"], id="verify-rotation"),
+        pytest.param(["verify-rotation", "--dim", "7", "--samples", "2e3", "--realizations", "5"],
+                     id="verify-rotation-odd-dim"),
+        pytest.param(["coadapt", "--samples", "1e4"], id="coadapt"),
+        pytest.param(["linreg", "--trials", "3"], id="linreg"),
+        pytest.param(["angle-demo", "--dim", "64", "--samples", "500", "--flip-samples", "300"],
+                     id="angle-demo"),
+        pytest.param(["var-shift", "--dim", "8", "--rows", "16"], id="var-shift"),
+        pytest.param(["bn-curve", "--samples", "2000", "--grid-max", "1.0", "--grid-step", "0.5"],
+                     id="bn-curve"),
+        pytest.param(["bn-poly", "--samples", "2000"], id="bn-poly"),
+        pytest.param(["cn-check", "--samples", "2e3", "--points", "5"], id="cn-check"),
+        pytest.param(["noise-budget", "--outer", "50", "--inner", "100"], id="noise-budget"),
+        pytest.param(["train-demo", "--epochs", "1", "--seeds", "1", "--width", "8", "--n-train", "20"],
+                     id="train-demo"),
+    ],
+)
+def test_reruns_are_byte_identical(tmp_path, argv):
+    bodies = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert run([*argv, "--seed", "3", "--out", str(out)]) == 0
+        bodies.append({path.name: path.read_bytes() for path in out.glob("*.csv")})
+    assert bodies[0] and bodies[0] == bodies[1]
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

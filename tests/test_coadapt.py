@@ -59,13 +59,6 @@ def test_covstats_validation():
         CovStats(n=5, mean=np.zeros(3), cov=np.eye(2))
 
 
-def test_covstats_from_samples_uses_unbiased_estimator():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((50, 3))
-    stats = CovStats.from_samples(x)
-    np.testing.assert_allclose(stats.cov, np.cov(x.T, ddof=1), atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # conditional covariance closed forms
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from test_rotation import rotate_reference
+from test_rotation import planes, rotate_reference
 
 import rotnoise.linreg
 from rotnoise import (
@@ -207,7 +207,7 @@ def gradient_reference(problem, w, angles, n_trials, rng):
     grads = np.empty((n_trials, problem.dim))
     for t in range(n_trials):
         batch = sample_batch_rotation(problem.n, problem.dim, angles, rng)
-        xr = rotate_reference(problem.X, batch.row_i, batch.row_j, batch.tangents[:, None])
+        xr = rotate_reference(problem.X, *planes(batch.perm), batch.tangents[:, None])
         resid = problem.y - xr @ w
         grads[t] = -2.0 * resid @ xr
     return grads.mean(axis=0), grads.std(axis=0, ddof=1) / np.sqrt(n_trials)

@@ -25,13 +25,14 @@ from rotnoise import (
     fixed_direction_sequence,
     gaussian_tangent,
     keep_rate_for,
+    rotation_invariants,
     sample_batch_rotation,
     sample_pairing,
     second_moment_of_tangent,
     uniform_angle,
     uniform_angle_for_keep_rate,
 )
-from rotnoise.rotation import _BLOCK, BatchRotation, Pairing, _keep_rate, _strength
+from rotnoise.rotation import _BLOCK, BatchRotation, Estimate, Pairing, _estimate, _keep_rate, _strength
 
 
 def centered_rotation(x, angles, rng):
@@ -55,6 +56,12 @@ def pair_shuffle_reference(x, i, j):
 def rotate_reference(x, i, j, tangent):
     x = np.asarray(x, dtype=np.float64)
     return x + tangent * pair_shuffle_reference(x, i, j)
+
+
+def planes(perm):
+    """The (i, j) halves of (n, D) per-row permutations: row r pairs i[r] with j[r]."""
+    d = perm.shape[1] // 2
+    return perm[:, :d], perm[:, d : 2 * d]
 
 
 def assert_same_bits(actual, expected):
@@ -149,7 +156,8 @@ def test_realizations_compare_and_hash_by_identity():
 def test_odd_dim_fixed_coordinate_is_uniform():
     rng = np.random.default_rng(7)
     batch = sample_batch_rotation(100_000, 5, gaussian_tangent(0.5), rng)
-    freq = np.bincount(batch.fixed, minlength=5) / batch.fixed.size
+    fixed = batch.perm[:, -1]
+    freq = np.bincount(fixed, minlength=5) / fixed.size
     assert np.all(np.abs(freq - 0.2) < 0.01)
 
 
@@ -298,10 +306,7 @@ def test_batch_rotation_rows_match_single_realizations(dim):
     fwd = batch.apply(x)
     bwd = batch.apply_transpose(x)
     for r in range(9):
-        perm = np.concatenate([batch.row_i[r], batch.row_j[r]])
-        if batch.fixed is not None:
-            perm = np.append(perm, batch.fixed[r])
-        real = RotationRealization(Pairing(perm), batch.tangents[r])
+        real = RotationRealization(Pairing(batch.perm[r]), batch.tangents[r])
         np.testing.assert_array_equal(fwd[r], apply_rotation(x[r], real))
         np.testing.assert_array_equal(bwd[r], apply_rotation_transpose(x[r], real))
 
@@ -315,6 +320,43 @@ def test_zero_centered_noise_mean():
     err = np.abs(out.mean(axis=0) - x)
     stderr = out.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(err < 4 * stderr)
+
+
+@pytest.mark.parametrize("dim", [2, 7, 8])
+def test_rotation_invariants_hold(dim):
+    # the exact invariants are deterministic; zero-centered-mean is the
+    # largest |z| of D normal estimates, past 4 with probability below
+    # D * 6.4e-5 <= 5.1e-4 for this seed
+    angles, rng = gaussian_tangent(0.5), np.random.default_rng(dim)
+    rows = rotation_invariants(dim, angles, 20, 5_000, rng)
+    names = [name for name, _, _ in rows]
+    assert names[-1] == "zero-centered-mean"
+    assert {"dense-equivalence", "adjoint-identity", "roundtrip", "pair-law"} <= set(names)
+    assert ("angle-cosine" in names) is ("norm-scaling" in names) is (dim % 2 == 0)
+    for name, stat, bound in rows:
+        assert type(stat) is float and 0.0 <= stat < bound, name
+    # the stream is taken in the order verify-rotation has always drawn it
+    ref = np.random.default_rng(dim)
+    x = ref.standard_normal(dim)
+    ref.standard_normal(dim)
+    for _ in range(20):
+        sample_pairing(dim, ref)
+        angles.sample_tangents((), ref)
+    out = sample_batch_rotation(5_000, dim, angles, ref).apply(np.broadcast_to(x, (5_000, dim)))
+    z = np.abs(out.mean(axis=0) - x) / (out.std(axis=0, ddof=1) / np.sqrt(5_000))
+    assert rows[-1][1] == z.max()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_estimate_is_the_mean_and_its_ddof1_standard_error():
+    x = np.random.default_rng(12).standard_normal((50, 3))
+    est = _estimate(x, axis=0)
+    assert isinstance(est, Estimate)
+    assert_same_bits(est.value, x.mean(axis=0))
+    assert_same_bits(est.stderr, x.std(axis=0, ddof=1) / np.sqrt(50))
+    value, stderr = _estimate(x[:, 0])
+    assert type(value) is float and value == x[:, 0].mean()
+    assert type(stderr) is float and stderr == x[:, 0].std(ddof=1) / np.sqrt(50)
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +611,8 @@ def test_batch_rotation_matches_reference_shuffle(dim, layout, size, data):
     x, rng = kernel_input(data, dim, layout, size)
     batch = sample_batch_rotation(x.shape[0], dim, gaussian_tangent(0.7), rng)
     t = batch.tangents[:, None]
-    assert_same_bits(batch.apply(x), rotate_reference(x, batch.row_i, batch.row_j, t))
-    assert_same_bits(batch.apply_transpose(x), rotate_reference(x, batch.row_i, batch.row_j, -t))
+    assert_same_bits(batch.apply(x), rotate_reference(x, *planes(batch.perm), t))
+    assert_same_bits(batch.apply_transpose(x), rotate_reference(x, *planes(batch.perm), -t))
 
 
 @kernel_sizes
@@ -644,9 +686,9 @@ def test_rotation_out_on_a_vector_matches_reference_shuffle(dim, seed):
     op = RotationOut(gaussian_tangent(0.5))
     state = op.sample_state(v, rng)
     t = state.tangents[:, None]
-    expected = rotate_reference(v[None], state.row_i, state.row_j, t)[0]
+    expected = rotate_reference(v[None], *planes(state.perm), t)[0]
     assert_same_bits(op.apply_state(v, state), expected)
-    assert_same_bits(op.backprop_state(v, state), rotate_reference(v[None], state.row_i, state.row_j, -t)[0])
+    assert_same_bits(op.backprop_state(v, state), rotate_reference(v[None], *planes(state.perm), -t)[0])
 
 
 @pytest.mark.parametrize("dim", [3, 7])
@@ -657,20 +699,11 @@ def test_unpaired_coordinate_adds_a_signed_zero(dim):
     x = np.full((4, dim), -0.0)
     batch = sample_batch_rotation(4, dim, fixed_angle(0.5), rng)
     out = batch.apply(x)
-    assert not np.signbit(out[np.arange(4), batch.fixed]).any()
-    assert_same_bits(out, rotate_reference(x, batch.row_i, batch.row_j, batch.tangents[:, None]))
+    assert not np.signbit(out[np.arange(4), batch.perm[:, -1]]).any()
+    assert_same_bits(out, rotate_reference(x, *planes(batch.perm), batch.tangents[:, None]))
     pairing = sample_pairing(dim, rng)
     y = apply_rotation(x[0], RotationRealization(pairing, 0.5))
     assert not np.signbit(y[pairing.fixed])
-
-
-def test_batch_rotation_views_are_read_only():
-    batch = sample_batch_rotation(6, 5, gaussian_tangent(0.5), np.random.default_rng(27))
-    np.testing.assert_array_equal(np.hstack([batch.row_i, batch.row_j, batch.fixed[:, None]]), batch.perm)
-    for view in (batch.row_i, batch.row_j, batch.fixed):
-        with pytest.raises(ValueError, match="read-only"):
-            view[0] = 0
-    assert batch.dim == 5
 
 
 def test_batch_rotation_rejects_a_batch_of_another_size():
