@@ -153,7 +153,16 @@ def cross_normalize(x, gamma, beta, eps: float = 1e-5, normalizer: str = "b-1") 
     ``normalizer`` selects the divisor of the leave-one-out sums: "b-1"
     (the count of the remaining elements, default) or "b" (batch size).
     """
-    x = np.asarray(x, dtype=np.float64)
+    return _cross_normalize_rows(np.asarray(x, dtype=np.float64), gamma, beta, eps, normalizer, None)
+
+
+def _cross_normalize_rows(x, gamma, beta, eps: float, normalizer: str, rows: int | None) -> np.ndarray:
+    """The first ``rows`` rows (all with ``None``) of ``cross_normalize``.
+
+    The leave-one-out sums are products over the whole batch, since their
+    bits depend on the product's shape; only the arithmetic after them is
+    restricted to the rows kept.
+    """
     if x.ndim != 2 or x.shape[0] < 3:
         raise ValueError("cross-normalization needs a batch of at least 3")
     b = x.shape[0]
@@ -166,12 +175,12 @@ def cross_normalize(x, gamma, beta, eps: float = 1e-5, normalizer: str = "b-1") 
     # masked sums keep the leave-one-out statistics bit-exactly independent
     # of the held-out element (its contribution is an exact 0 term)
     hold = 1.0 - np.eye(b)
-    loo_sum = hold @ x
-    loo_sq = hold @ x**2
+    loo_sum = (hold @ x)[:rows]
+    loo_sq = (hold @ x**2)[:rows]
     mu = loo_sum / denom
     # sum_{k != i} (x_k - mu_i)^2 / denom, expanded through the two sums
     var = loo_sq / denom - 2 * mu * loo_sum / denom + mu**2 * (b - 1) / denom
-    return gamma * (x - mu) / np.sqrt(var + eps) + beta
+    return gamma * (x[:rows] - mu) / np.sqrt(var + eps) + beta
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +237,51 @@ _CURVE_BLOCK = 100_000
 _BUDGET_ELEMENTS = 2**17
 # batches drawn at once by cross_normalization_curve
 _CN_CHUNK = 5000
+# companions per row from which _companion_moments reduces rows with np.mean
+_SWEEP_WIDTH = 32
 
 
 def _check_batch_size(batch_size: int) -> None:
     if batch_size < 2:
         raise ValueError("batch size must be at least 2")
+
+
+def _pairwise_sum_rows(t: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Sum of the rows ``t[lo:hi]``, accumulated in place into ``t[lo]``.
+
+    Each column is summed in the order numpy's pairwise summation adds the
+    terms of one contiguous reduction: sequentially below 8 terms; up to
+    128 terms in eight running sums combined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then a sequential
+    tail; above 128 terms as two halves split at a multiple of 8.
+    """
+    n = hi - lo
+    if n < 8:
+        for i in range(lo + 1, hi):
+            t[lo] += t[i]
+    elif n <= 128:
+        tail = hi - n % 8
+        for i in range(lo + 8, tail, 8):
+            t[lo : lo + 8] += t[i : i + 8]
+        t[lo : lo + 8 : 2] += t[lo + 1 : lo + 8 : 2]
+        t[lo : lo + 8 : 4] += t[lo + 2 : lo + 8 : 4]
+        t[lo] += t[lo + 4]
+        for i in range(tail, hi):
+            t[lo] += t[i]
+    else:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum_rows(t, lo, lo + half)
+        _pairwise_sum_rows(t, lo + half, hi)
+        t[lo] += t[lo + half]
+    return t[lo]
+
+
+def _column_means(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.mean(t.T, axis=-1)`` into ``out``, bit for bit; ``t`` is overwritten."""
+    total = _pairwise_sum_rows(t, 0, t.shape[0])
+    # numpy adds the sum to the identity 0.0, which turns -0.0 into +0.0
+    np.add(total, 0.0, out=total)
+    return np.divide(total, t.shape[0], out=out)
 
 
 def _companion_moments(rows: int, batch_size: int, draw, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -241,23 +290,43 @@ def _companion_moments(rows: int, batch_size: int, draw, rng) -> tuple[np.ndarra
     The companions are drawn in whole rows, about ``_BUDGET_ELEMENTS``
     values at a time, which takes the same random stream as one
     ``(rows, B - 1)`` draw.  A row's moments depend only on that row, so
-    neither result depends on the chunk size.  Deviations are squared in
-    one chunk of scratch; the arrays ``draw`` returns are never written.
+    neither result depends on the chunk size.  The arrays ``draw`` returns
+    are never written.
+
+    ``np.mean(z, axis=-1)`` runs numpy's reduction loop once per row, which
+    costs about as much as the row's sums when rows are short.  Below
+    ``_SWEEP_WIDTH`` companions, each chunk is instead copied transposed
+    into scratch, where ``_column_means`` adds whole rows of it in the order
+    numpy's pairwise summation adds one row's terms, so the moments keep
+    every bit of ``np.mean`` (NaN payloads aside: numpy's compiled loop may
+    take the operands of a sum in either order).  The deviations are taken
+    from the drawn chunk again, since the sums overwrite the copy.  Per
+    chunk of 2^17 values, the sweep took 0.36 of ``np.mean``'s time at
+    B - 1 = 7 and 0.53 at 15, below 1 at every width from 2 to 31 measured,
+    but 1.21 at 32, 1.29 at 47 and 1.67 at 63 (``BENCH_14.json``), so rows
+    of 32 or more keep ``np.mean``.
     """
     width = batch_size - 1
     step = max(1, _BUDGET_ELEMENTS // width)
     # chunk buffers before m and s2: freed, they leave a hole below them, not
     # a heap top that malloc hands back to the system and faults in per call
     z = draw((min(step, rows), width), rng)
-    scratch = np.empty(z.shape)
+    scratch = np.empty(z.size)
     m = np.empty(rows)
     s2 = np.empty(rows)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         if lo:
             z = draw((hi - lo, width), rng)
-        dev = np.subtract(z, np.mean(z, axis=-1, out=m[lo:hi])[:, None], out=scratch[: hi - lo])
-        np.mean(np.square(dev, out=dev), axis=-1, out=s2[lo:hi])
+        if width < _SWEEP_WIDTH:
+            t = scratch[: z.size].reshape(width, hi - lo)
+            np.copyto(t, z.T)
+            _column_means(t, m[lo:hi])
+            _column_means(np.square(np.subtract(z.T, m[lo:hi], out=t), out=t), s2[lo:hi])
+        else:
+            dev = np.subtract(z, np.mean(z, axis=-1, out=m[lo:hi])[:, None],
+                              out=scratch[: z.size].reshape(z.shape))
+            np.mean(np.square(dev, out=dev), axis=-1, out=s2[lo:hi])
     return m, s2
 
 
@@ -375,9 +444,10 @@ def cross_normalization_curve(
     For each grid value, ``n_mc`` gaussian batches (drawn as
     ``(batch_size, 5000)`` chunks) have their first element replaced by
     the value and pass through ``cross_normalize`` with unit gain and no
-    eps.  The held element's leave-one-out statistics do not depend on
-    it, so the mean output is exactly affine in the grid value.  Grid
-    points use independent draws.
+    eps, of which only the held element's row is computed.  The held
+    element's leave-one-out statistics do not depend on it, so the mean
+    output is exactly affine in the grid value.  Grid points use
+    independent draws.
     """
     _check_budget("n_mc", n_mc)
     draw = standardized_sampler("gaussian")
@@ -386,17 +456,16 @@ def cross_normalization_curve(
     beta = np.zeros(1)
     means = np.empty_like(grid)
     f_var = np.empty_like(grid)
+    stderr = np.empty_like(grid)
     for k, x1 in enumerate(grid):
         outs = np.empty(n_mc)
         for done in range(0, n_mc, _CN_CHUNK):
             m = min(_CN_CHUNK, n_mc - done)
             batch = draw((batch_size, m), rng)
             batch[0, :] = x1
-            out = cross_normalize(batch, gamma, beta, eps=0.0, normalizer=normalizer)
-            outs[done : done + m] = out[0]
-        means[k] = outs.mean()
+            outs[done : done + m] = _cross_normalize_rows(batch, gamma, beta, 0.0, normalizer, 1)[0]
+        means[k], stderr[k] = _estimate(outs)
         f_var[k] = outs.var(ddof=1)
-    stderr = np.sqrt(f_var) / np.sqrt(n_mc)
     return NonlinearityCurve("gaussian", batch_size, grid, means, f_var, stderr)
 
 

@@ -405,6 +405,8 @@ def rotation_invariants(
     the mean of ``n_samples`` rotated copies of x against x.  Returns
     (name, statistic, bound) rows; a statistic below its bound passes.
     """
+    # with no realization, every exact invariant would pass unchecked
+    _check_budget("n_realizations", n_realizations, least=1)
     _check_budget("n_samples", n_samples)
     x = rng.standard_normal(dim)
     g = rng.standard_normal(dim)

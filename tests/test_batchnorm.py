@@ -339,6 +339,107 @@ def test_train_statistic_samples_leaves_the_drawn_array_alone(monkeypatch):
     np.testing.assert_array_equal(f, np.sqrt(7 / 8) * d / np.sqrt(s2 + d**2 / 8))
 
 
+# every layout of _companion_moments: the default crossover, np.mean per row
+# at every width, and column sweeps at every width
+LAYOUTS = [batchnorm._SWEEP_WIDTH, 1, 10**9]
+
+
+def reference_moments(z):
+    m = z.mean(axis=1)
+    return m, np.mean((z - m[:, None]) ** 2, axis=1)
+
+
+def assert_same_bits_or_both_nan(got, want):
+    # NaN payloads are left out: numpy's compiled sum may take the two NaN
+    # operands of one addition in either order, and the sign of the result
+    # follows the first
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def recorded(draw):
+    """``draw`` and a list that keeps a copy of every chunk it returned."""
+    chunks = []
+
+    def wrapped(shape, rng):
+        z = draw(shape, rng)
+        chunks.append(z.copy())
+        return z
+
+    return wrapped, chunks
+
+
+def draw_with_specials(shape, rng):
+    """Gaussian rows, and rows of -0.0, of mixed signed zeros, with +inf,
+    with both infinities, with a NaN and with squares that overflow."""
+    z = rng.standard_normal(shape)
+    kind = rng.integers(0, 7, size=shape[0])
+    col = rng.integers(0, shape[1], size=shape[0])
+    z[kind == 1] = -0.0
+    zeros = kind == 2
+    z[zeros] = np.where(rng.random(z[zeros].shape) < 0.5, -0.0, 0.0)
+    z[kind == 3, col[kind == 3]] = np.inf
+    z[kind == 4, col[kind == 4]] = np.inf
+    z[kind == 4, 0] = -np.inf
+    z[kind == 5, col[kind == 5]] = np.nan
+    z[kind == 6] *= 1e300
+    return z
+
+
+@pytest.mark.parametrize(
+    "width", [*range(1, 18), 31, 32, 33, 63, 127, 128, 129, 130, 255, 256, 257, 600]
+)
+def test_companion_moments_equal_np_mean_bit_for_bit(monkeypatch, width):
+    monkeypatch.setattr(batchnorm, "_BUDGET_ELEMENTS", 2**11)
+    step = max(1, 2**11 // width)
+    rng = np.random.default_rng(width)
+    for layout in LAYOUTS:
+        monkeypatch.setattr(batchnorm, "_SWEEP_WIDTH", layout)
+        for rows in (step - 1, step, step + 1, 2 * step + 3):
+            draw, chunks = recorded(draw_with_specials)
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = batchnorm._companion_moments(rows, width + 1, draw, rng)
+                want = reference_moments(np.concatenate(chunks))
+            for g, w in zip(got, want):
+                assert_same_bits_or_both_nan(g, w)
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS)
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_companion_moments_equal_np_mean_for_every_source(monkeypatch, dist, layout):
+    monkeypatch.setattr(batchnorm, "_SWEEP_WIDTH", layout)
+    rng = np.random.default_rng(38)
+    for b, rows in ((2, 70_001), (8, 30_000), (16, 20_000), (34, 5_000), (65, 2_500)):
+        draw, chunks = recorded(standardized_sampler(dist))
+        got = batchnorm._companion_moments(rows, b, draw, rng)
+        for g, w in zip(got, reference_moments(np.concatenate(chunks))):
+            assert_same_bits_or_both_nan(g, w)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("width", [7, 15, 40])
+def test_companion_moments_leave_the_drawn_array_alone(monkeypatch, layout, width):
+    monkeypatch.setattr(batchnorm, "_SWEEP_WIDTH", layout)
+    monkeypatch.setattr(batchnorm, "_BUDGET_ELEMENTS", 200)
+    held = draw_with_specials((61, width), np.random.default_rng(39))
+    before = held.copy()
+    taken = 0
+
+    def draw(shape, rng):  # successive views of the caller's array
+        nonlocal taken
+        taken += shape[0]
+        return held[taken - shape[0] : taken]
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = batchnorm._companion_moments(61, width + 1, draw, None)
+        want = reference_moments(before)
+    assert taken == 61
+    np.testing.assert_array_equal(held.view(np.int64), before.view(np.int64))
+    for g, w in zip(got, want):
+        assert_same_bits_or_both_nan(g, w)
+
+
 @pytest.mark.parametrize("b", [8, 64])
 def test_curve_peak_memory_does_not_grow_with_the_batch(b):
     rows = _CURVE_BLOCK  # 1e5 draws: one block
@@ -496,6 +597,20 @@ def test_cross_normalization_expectation_is_affine(normalizer):
 def test_cross_normalize_rejects_unknown_normalizer():
     with pytest.raises(ValueError, match="normalizer"):
         cross_normalize(np.ones((4, 1)), np.ones(1), np.zeros(1), normalizer="b+1")
+
+
+@pytest.mark.parametrize("normalizer", ["b-1", "b"])
+def test_cross_normalize_rows_are_the_leading_rows_of_cross_normalize(normalizer):
+    rng = np.random.default_rng(40)
+    for b in (3, 8, 17):
+        x = rng.standard_normal((b, 1_001))
+        x[0] = 0.7
+        gamma, beta = rng.standard_normal(1_001), rng.standard_normal(1_001)
+        full = cross_normalize(x, gamma, beta, eps=1e-3, normalizer=normalizer)
+        for rows in (1, 2, b):
+            got = batchnorm._cross_normalize_rows(x, gamma, beta, 1e-3, normalizer, rows)
+            assert got.shape == (rows, 1_001)
+            assert got.tobytes() == full[:rows].tobytes()
 
 
 @pytest.mark.parametrize("normalizer", ["b-1", "b"])

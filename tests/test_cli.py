@@ -191,6 +191,14 @@ def test_degenerate_monte_carlo_budget_exits_2(tmp_path, capsys, argv, csv_name)
     assert not (tmp_path / csv_name).exists()
 
 
+@pytest.mark.parametrize("realizations", ["0", "-3"])
+def test_verify_rotation_without_a_realization_exits_2(tmp_path, capsys, realizations):
+    code = run(["verify-rotation", "--realizations", realizations, "--out", str(tmp_path)])
+    assert code == 2
+    assert "n_realizations must be at least 1, got" in capsys.readouterr().err
+    assert not (tmp_path / "rotation_invariants.csv").exists()
+
+
 def test_train_demo_run(tmp_path):
     code = run([
         "train-demo", "--epochs", "1", "--seeds", "1", "--width", "8",

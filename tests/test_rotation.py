@@ -348,6 +348,12 @@ def test_rotation_invariants_hold(dim):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("realizations", [0, -3])
+def test_rotation_invariants_need_a_realization(realizations):
+    with pytest.raises(ValueError, match="n_realizations must be at least 1, got"):
+        rotation_invariants(8, gaussian_tangent(0.5), realizations, 5_000, np.random.default_rng(0))
+
+
 def test_estimate_is_the_mean_and_its_ddof1_standard_error():
     x = np.random.default_rng(12).standard_normal((50, 3))
     est = _estimate(x, axis=0)
