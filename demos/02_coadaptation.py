@@ -24,7 +24,7 @@ rng = np.random.default_rng(0)
 dim, rho, keep = 8, 0.5, 0.8
 
 source = GaussianSource(equicorrelated(dim, rho))
-stats = CovStats(n=10, mean=np.zeros(dim), cov=source.cov)
+stats = CovStats(mean=np.zeros(dim), cov=source.cov)
 print(f"equicorrelated source: D={dim}, rho={rho}, co-adaptation={coadaptation(stats):.4f}")
 
 for method in ("dropout", "rotation"):

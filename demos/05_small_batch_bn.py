@@ -34,8 +34,9 @@ for t, fe, fv in zip(curve.x_test, curve.f_expect, curve.f_var):
 
 # an odd degree-7 polynomial fitted on a wider window straightens it out
 fit = fit_poly_correction(mc_nonlinearity_curve("gaussian", B, rng, n_mc=200_000))
-print(f"\npolynomial correction: a1={fit.a1:.4f} a3={fit.a3:.2e} "
-      f"a5={fit.a5:.2e} a7={fit.a7:.2e} (rmse {fit.rmse:.1e})")
+a1, a3, a5, a7 = fit.coeffs
+print(f"\npolynomial correction: a1={a1:.4f} a3={a3:.2e} "
+      f"a5={a5:.2e} a7={a7:.2e} (rmse {fit.rmse:.1e})")
 corrected = evaluate_odd_poly(fit.coeffs, curve.x_test)
 raw_gap = np.abs(curve.x_test - curve.f_expect).max()
 new_gap = np.abs(corrected - curve.f_expect).max()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise_ops import BernoulliDropout
+from .noise_ops import NoiseOpSpec, make_noise_op
 from .rotation import Estimate, _check_budget, _estimate, _strength
 
 __all__ = [
@@ -105,8 +105,7 @@ def _eval_normalize(x: np.ndarray, state: BatchNormState, correction=None, out=N
         tag = correction[0]
         if tag == "scale-variance":
             keep_rate = float(correction[1])
-            if not 0.0 < keep_rate <= 1.0:
-                raise ValueError("keep rate must lie in (0, 1]")
+            _strength(keep_rate)
             var = var * keep_rate
         elif tag != "poly":
             raise ValueError(f"unknown test-mode correction: {tag!r}")
@@ -471,26 +470,10 @@ def cross_normalization_curve(
 
 @dataclass(frozen=True, eq=False)
 class PolyFit:
-    """Odd-polynomial correction a1 x + a3 x^3 + a5 x^5 + a7 x^7."""
+    """Odd-polynomial correction a1 x + a3 x^3 + a5 x^5 + a7 x^7; ``coeffs`` is (a1, a3, a5, a7)."""
 
     coeffs: np.ndarray
     rmse: float
-
-    @property
-    def a1(self) -> float:
-        return float(self.coeffs[0])
-
-    @property
-    def a3(self) -> float:
-        return float(self.coeffs[1])
-
-    @property
-    def a5(self) -> float:
-        return float(self.coeffs[2])
-
-    @property
-    def a7(self) -> float:
-        return float(self.coeffs[3])
 
 
 def evaluate_odd_poly(coeffs, x) -> np.ndarray:
@@ -518,6 +501,9 @@ def affine_residuals(curve: NonlinearityCurve) -> np.ndarray:
     """Residual, mean - fit, of the least-squares line through the mean curve
     (pure Monte-Carlo noise on ``cross_normalization_curve``, which is affine)."""
     t = curve.x_test
+    # two points fit any line exactly, leaving residuals of rounding only
+    if t.size < 3:
+        raise ValueError("need at least 3 grid points to test an affine fit")
     return _fit_mean_curve(np.stack([t, np.ones_like(t)], axis=1), curve)[1]
 
 
@@ -651,7 +637,7 @@ def variance_shift(
         x = source.sample(int(n_mc), rng)
         # anchored at the source's population mean, not the batch mean
         # that Centered would subtract
-        dropout = BernoulliDropout(keep_rate)
+        dropout = make_noise_op(NoiseOpSpec("bernoulli-dropout", keep_rate))
         if placement == "dropout-a":
             y = x @ W.T
             anchor = (W @ mean) if centered else np.zeros(W.shape[0])

@@ -259,6 +259,8 @@ def _run_coadapt(merged: dict, outdir: Path, rng: np.random.Generator):
 
 def _run_linreg(merged: dict, outdir: Path, rng: np.random.Generator):
     n, dim, lam = merged["n"], merged["dim"], merged["lambda"]
+    if merged["trials"] < 1:
+        raise ConfigError(f"config key 'trials' must be at least 1, got {merged['trials']}")
     rows = []
     for trial in range(merged["trials"]):
         x = rng.standard_normal((n, dim))
@@ -312,28 +314,29 @@ def _run_var_shift(merged: dict, outdir: Path, rng: np.random.Generator):
                rows)
 
 
-def _run_bn_curve(merged: dict, outdir: Path, rng: np.random.Generator):
+def _bn_curve(merged: dict, rng: np.random.Generator):
+    for key in ("grid_max", "grid_step"):
+        if not merged[key] > 0:
+            raise ConfigError(f"config key {key!r} must be positive, got {merged[key]}")
     grid = np.arange(-merged["grid_max"], merged["grid_max"] + 1e-9, merged["grid_step"])
-    curve = mc_nonlinearity_curve(
+    return mc_nonlinearity_curve(
         merged["dist"], merged["batch"], rng, grid=grid, n_mc=int(merged["samples"])
     )
-    rows = [
-        (curve.dist, curve.batch_size, float(t), float(fe), float(fv), float(se))
-        for t, fe, fv, se in zip(curve.x_test, curve.f_expect, curve.f_var, curve.stderr)
-    ]
+
+
+def _run_bn_curve(merged: dict, outdir: Path, rng: np.random.Generator):
+    curve = _bn_curve(merged, rng)
+    columns = zip(curve.x_test, curve.f_expect, curve.f_var, curve.stderr)
+    rows = [(curve.dist, curve.batch_size, *values) for values in columns]
     _write_csv(outdir / "bn_curve.csv",
                ["dist", "B", "x_test", "f_expect", "f_var", "stderr"], rows)
 
 
 def _run_bn_poly(merged: dict, outdir: Path, rng: np.random.Generator):
-    grid = np.arange(-merged["grid_max"], merged["grid_max"] + 1e-9, merged["grid_step"])
-    curve = mc_nonlinearity_curve(
-        merged["dist"], merged["batch"], rng, grid=grid, n_mc=int(merged["samples"])
-    )
-    fit = fit_poly_correction(curve)
+    fit = fit_poly_correction(_bn_curve(merged, rng))
     _write_csv(outdir / "bn_poly.csv",
                ["B", "a1", "a3", "a5", "a7", "rmse"],
-               [(merged["batch"], fit.a1, fit.a3, fit.a5, fit.a7, fit.rmse)])
+               [(merged["batch"], *fit.coeffs, fit.rmse)])
 
 
 def _run_cn_check(merged: dict, outdir: Path, rng: np.random.Generator):
@@ -418,18 +421,16 @@ def run(argv=None) -> int:
     command = args.command
     try:
         file_cfg = load_config(args.config) if args.config else {}
-        flag_cfg = {key: getattr(args, key.replace("-", "_")) for key in _schema(command)}
+        flag_cfg = {key: getattr(args, key) for key in _schema(command)}
         merged = merge_config(command, file_cfg, flag_cfg)
         outdir = _resolve_outdir(merged)
         rng = np.random.default_rng(merged["seed"])
         _RUNNERS[command](merged, outdir, rng)
         _write_manifest(outdir, command, merged)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
+    # after the numerical branch: LinAlgError is a ValueError, and so is ConfigError
     except (ValueError, KeyError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

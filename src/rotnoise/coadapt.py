@@ -37,17 +37,14 @@ _METHODS = ("dropout", "rotation")
 
 @dataclass(frozen=True, eq=False)
 class CovStats:
-    """Sample count, mean vector and covariance matrix of a feature batch."""
+    """Mean vector and covariance matrix of a feature batch."""
 
-    n: int
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
         cov = np.asarray(self.cov, dtype=np.float64)
-        if self.n < 2:
-            raise ValueError("covariance statistics need at least 2 samples")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match the mean vector")
         if not np.allclose(cov, cov.T, atol=1e-10):
@@ -220,11 +217,11 @@ def verify_reduction(
     """
     # each of the 20 chunks below needs two rows for a sample covariance
     _check_budget("n_samples", n_samples, least=40)
+    if method not in _METHODS:
+        raise ValueError(f"method must be one of {_METHODS}")
     x = np.asarray(source.sample(int(n_samples), rng), dtype=np.float64)
     if center:
         x = x - x.mean(axis=0)
-    if method not in _METHODS:
-        raise ValueError(f"method must be one of {_METHODS}")
     kind = "bernoulli-dropout" if method == "dropout" else "rotation"
     noised = make_noise_op(NoiseOpSpec(kind, keep_rate))(x, rng)
 
@@ -243,8 +240,7 @@ def verify_reduction(
             stderr=float("nan"), undefined=True,
         )
 
-    mean = np.zeros(source.dim) if center else np.asarray(source.mean, dtype=np.float64)
-    stats = CovStats(n=int(n_samples), mean=mean, cov=np.asarray(source.cov, dtype=np.float64))
+    stats = CovStats(mean=np.zeros(source.dim) if center else source.mean, cov=source.cov)
     predicted = predicted_factor(stats, method, keep_rate)
 
     factors = [_coadaptation_of(co) / _coadaptation_of(ci) for ci, co in zip(splits_in, splits_out)]

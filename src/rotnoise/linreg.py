@@ -21,7 +21,7 @@ import numpy as np
 
 from .coadapt import _noise_moment
 from .rotation import _BLOCK, AngleDistribution, BatchRotation, Estimate, _check_budget, _estimate
-from .rotation import sample_batch_rotation
+from .rotation import _strength, sample_batch_rotation
 
 __all__ = [
     "RegressionProblem",
@@ -179,8 +179,7 @@ def dropout_rotation_angle(
     """
     if dim < 2:
         raise ValueError("angle demo needs at least 2 dimensions")
-    if not 0.0 < keep_rate <= 1.0:
-        raise ValueError("keep rate must lie in (0, 1]")
+    _strength(keep_rate)
     _check_budget("n_samples", n_samples)
     x = rng.standard_normal((n_samples, dim))
     np.abs(x, out=x)

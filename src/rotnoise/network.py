@@ -98,6 +98,8 @@ class TrainConfig:
     class_separation: float = 2.0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 2:
             raise ValueError("batch size must be at least 2 for batch statistics")
 
@@ -408,6 +410,9 @@ def train(
     Returns a list of (epoch, train_acc, val_acc) rows; by default only the
     final epoch is recorded, ``record_every`` adds intermediate rows.
     """
+    if (x_val is None) != (y_val is None):
+        missing = "x_val" if x_val is None else "y_val"
+        raise ValueError(f"validation needs both x_val and y_val; {missing} is missing")
     params = model.params()
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     n = x_train.shape[0]
@@ -456,6 +461,8 @@ def train_and_report(
     strength, seed, epoch, train_acc, val_acc) plus a summary dict per
     regularizer with gap mean and standard deviation across seeds.
     """
+    if not seeds:
+        raise ValueError("train_and_report needs at least one seed")
     rows = []
     gaps: dict[str, list[float]] = {label: [] for label, _ in regularizers}
     for label, spec in regularizers:

@@ -495,6 +495,15 @@ def test_poly_fit_recovers_exact_line():
     assert fit.rmse < 1e-12
 
 
+@pytest.mark.parametrize("points", [0, 1, 2])
+def test_affine_residuals_need_three_points(points):
+    # two points fit any line exactly: the residuals would be rounding only
+    grid = np.linspace(-1.0, 1.0, points)
+    curve = NonlinearityCurve("gaussian", 8, grid, grid.copy(), np.zeros(points), np.zeros(points))
+    with pytest.raises(ValueError, match="at least 3 grid points"):
+        affine_residuals(curve)
+
+
 def test_affine_residuals_are_mean_minus_fit():
     grid = np.linspace(-3, 3, 7)
     bump = grid**2 - np.mean(grid**2)  # orthogonal to 1 and to the symmetric grid
@@ -514,10 +523,10 @@ def test_poly_fit_approaches_identity_for_large_batches():
     rng = np.random.default_rng(14)
     curve = mc_nonlinearity_curve("gaussian", 256, rng, n_mc=20_000)
     fit = fit_poly_correction(curve)
-    assert fit.a1 == pytest.approx(1.0, abs=0.01)
-    assert abs(fit.a3) < 5e-3
-    assert abs(fit.a5) < 1e-3
-    assert abs(fit.a7) < 1e-4
+    assert fit.coeffs[0] == pytest.approx(1.0, abs=0.01)
+    assert abs(fit.coeffs[1]) < 5e-3
+    assert abs(fit.coeffs[2]) < 1e-3
+    assert abs(fit.coeffs[3]) < 1e-4
 
 
 def test_poly_correction_shrinks_the_expectation_gap():

@@ -1,9 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from rotnoise import cli
+from rotnoise import cli, fit_poly_correction, mc_nonlinearity_curve
 from rotnoise.cli import ConfigError, load_config, merge_config, run
 
 
@@ -152,6 +153,20 @@ def test_bn_poly_run(tmp_path):
     assert float(rows[0][1]) == pytest.approx(1.09, abs=0.05)
 
 
+@pytest.mark.parametrize("seed, batch", [(0, 8), (5, 16)])
+def test_bn_poly_columns_are_the_fit_coefficients_in_order(tmp_path, seed, batch):
+    code = run(["bn-poly", "--seed", str(seed), "--batch", str(batch), "--samples", "2e3",
+                "--out", str(tmp_path)])
+    assert code == 0
+    _, rows = read_csv(tmp_path / "bn_poly.csv")
+    # the same curve from the library: bn-poly's default window, grid and budget
+    grid = np.arange(-3.3, 3.3 + 1e-9, 0.05)
+    curve = mc_nonlinearity_curve("gaussian", batch, np.random.default_rng(seed), grid=grid, n_mc=2000)
+    fit = fit_poly_correction(curve)
+    assert rows[0][1:5] == [repr(float(c)) for c in fit.coeffs]
+    assert rows[0][5] == repr(fit.rmse)
+
+
 def test_cn_check_run(tmp_path):
     code = run(["cn-check", "--samples", "3000", "--points", "5", "--out", str(tmp_path)])
     assert code == 0
@@ -188,6 +203,29 @@ def test_degenerate_monte_carlo_budget_exits_2(tmp_path, capsys, argv, csv_name)
     # each of verify_reduction's 20 chunks needs two rows
     least = 40 if argv[0] == "coadapt" else 2
     assert f"must be at least {least}," in capsys.readouterr().err
+    assert not (tmp_path / csv_name).exists()
+
+
+@pytest.mark.parametrize(
+    "argv, csv_name, message",
+    [
+        (["bn-curve", "--grid-step", "0"], "bn_curve.csv", "'grid_step' must be positive"),
+        (["bn-poly", "--grid-step", "0"], "bn_poly.csv", "'grid_step' must be positive"),
+        (["bn-curve", "--grid-max", "-1"], "bn_curve.csv", "'grid_max' must be positive"),
+        (["bn-poly", "--grid-max", "0"], "bn_poly.csv", "'grid_max' must be positive"),
+        (["cn-check", "--points", "0", "--samples", "2e3"], "cn_linearity.csv", "at least 3 grid points"),
+        (["cn-check", "--points", "1", "--samples", "2e3"], "cn_linearity.csv", "at least 3 grid points"),
+        (["cn-check", "--points", "2", "--samples", "2e3"], "cn_linearity.csv", "at least 3 grid points"),
+        (["linreg", "--trials", "0"], "conditioning.csv", "'trials' must be at least 1"),
+        (["linreg", "--trials", "-1"], "conditioning.csv", "'trials' must be at least 1"),
+        (["train-demo", "--seeds", "0"], "train_demo.csv", "at least one seed"),
+        (["train-demo", "--epochs", "0"], "train_demo.csv", "epochs must be at least 1"),
+    ],
+)
+def test_degenerate_setting_exits_2(tmp_path, capsys, argv, csv_name, message):
+    code = run([*argv, "--out", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / csv_name).exists()
 
 

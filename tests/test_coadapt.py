@@ -26,12 +26,12 @@ from rotnoise import (
 
 
 def test_identity_covariance_has_zero_coadaptation():
-    stats = CovStats(n=10, mean=np.zeros(3), cov=np.eye(3))
+    stats = CovStats(mean=np.zeros(3), cov=np.eye(3))
     assert coadaptation(stats) == 0.0
 
 
 def test_coadaptation_worked_example():
-    stats = CovStats(n=10, mean=np.zeros(2), cov=np.array([[1.0, 0.5], [0.5, 1.0]]))
+    stats = CovStats(mean=np.zeros(2), cov=np.array([[1.0, 0.5], [0.5, 1.0]]))
     assert coadaptation(stats) == pytest.approx(0.5, abs=0)
 
 
@@ -39,24 +39,22 @@ def test_coadaptation_scale_invariance():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 4))
     cov = a @ a.T
-    s1 = CovStats(n=5, mean=np.zeros(4), cov=cov)
-    s2 = CovStats(n=5, mean=np.zeros(4), cov=7.0 * cov)
+    s1 = CovStats(mean=np.zeros(4), cov=cov)
+    s2 = CovStats(mean=np.zeros(4), cov=7.0 * cov)
     assert coadaptation(s1) == pytest.approx(coadaptation(s2), rel=1e-12)
 
 
 def test_degenerate_covariance_rejected():
-    stats = CovStats(n=5, mean=np.zeros(2), cov=np.zeros((2, 2)))
+    stats = CovStats(mean=np.zeros(2), cov=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="degenerate"):
         coadaptation(stats)
 
 
 def test_covstats_validation():
-    with pytest.raises(ValueError, match="2 samples"):
-        CovStats(n=1, mean=np.zeros(2), cov=np.eye(2))
     with pytest.raises(ValueError, match="symmetric"):
-        CovStats(n=5, mean=np.zeros(2), cov=np.array([[1.0, 0.4], [0.1, 1.0]]))
+        CovStats(mean=np.zeros(2), cov=np.array([[1.0, 0.4], [0.1, 1.0]]))
     with pytest.raises(ValueError, match="shape"):
-        CovStats(n=5, mean=np.zeros(3), cov=np.eye(2))
+        CovStats(mean=np.zeros(3), cov=np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +104,7 @@ def test_conditional_covariance_matches_monte_carlo(method):
 
 
 def test_total_variance_dropout_worked_example():
-    stats = CovStats(n=10, mean=np.zeros(4), cov=np.eye(4))
+    stats = CovStats(mean=np.zeros(4), cov=np.eye(4))
     out = total_variance(stats, "dropout", keep_rate=0.5)
     np.testing.assert_allclose(out, 2 * np.eye(4), atol=0)
 
@@ -114,7 +112,7 @@ def test_total_variance_dropout_worked_example():
 def test_total_variance_no_noise_returns_input():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 3))
-    stats = CovStats(n=10, mean=rng.standard_normal(3), cov=a @ a.T)
+    stats = CovStats(mean=rng.standard_normal(3), cov=a @ a.T)
     for method in ("dropout", "rotation"):
         np.testing.assert_allclose(total_variance(stats, method, 1.0), stats.cov, atol=0)
 
@@ -128,7 +126,7 @@ def test_total_variance_matches_end_to_end_monte_carlo(method):
     x = source.sample(300_000, rng)
     op = BernoulliDropout(p) if method == "dropout" else RotationOut(gaussian_tangent(np.sqrt(lam)))
     noised = op(x, rng)
-    stats = CovStats(n=x.shape[0], mean=source.mean, cov=source.cov)
+    stats = CovStats(mean=source.mean, cov=source.cov)
     closed = total_variance(stats, method, p)
     observed = np.cov(noised.T, ddof=1)
     # chunked stderr of each covariance entry
@@ -228,7 +226,7 @@ def test_reduction_factors_monotone_in_keep_rate():
 def test_rotation_reduction_factor_is_predicted_factor_across_lam_r_one(dim):
     # lam r = 1 at p = 1/2 for D = 2, 1/4 for D = 3 and 4, and 1/8 for D = 8;
     # below it the noise flips the sign of the off-diagonal covariance
-    stats = CovStats(n=100, mean=np.zeros(dim), cov=equicorrelated(dim, 0.5))
+    stats = CovStats(mean=np.zeros(dim), cov=equicorrelated(dim, 0.5))
     for p in np.linspace(0.05, 1.0, 20):
         closed = reduction_factor("rotation", p, dim)
         assert closed >= 0.0
@@ -238,7 +236,7 @@ def test_rotation_reduction_factor_is_predicted_factor_across_lam_r_one(dim):
 def test_predicted_factor_reduces_to_closed_form_at_zero_mean():
     rng = np.random.default_rng(8)
     cov = equicorrelated(8, 0.5)
-    stats = CovStats(n=100, mean=np.zeros(8), cov=cov)
+    stats = CovStats(mean=np.zeros(8), cov=cov)
     for method in ("dropout", "rotation"):
         assert predicted_factor(stats, method, 0.8) == pytest.approx(
             reduction_factor(method, 0.8, 8), rel=1e-12
@@ -287,7 +285,7 @@ def test_uncentered_dropout_on_relu_features():
     # keep rates 0.9 / 0.7 land near 0.86 / 0.61
     rng = np.random.default_rng(11)
     source = ReluGaussianSource(equicorrelated(8, 0.5))
-    stats = CovStats(n=100, mean=source.mean, cov=source.cov)
+    stats = CovStats(mean=source.mean, cov=source.cov)
     predictions = {}
     for p in (0.9, 0.7):
         lam = (1 - p) / p
@@ -314,6 +312,14 @@ def test_verify_reduction_at_keep_rate_one_reports_factor_one(method):
 def test_verify_reduction_rejects_unknown_method():
     with pytest.raises(ValueError, match="method must be one of"):
         verify_reduction(GaussianSource(equicorrelated(4, 0.5)), "uout", 0.8, 100, np.random.default_rng(12))
+
+
+def test_verify_reduction_checks_method_before_drawing():
+    rng = np.random.default_rng(13)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="method must be one of"):
+        verify_reduction(GaussianSource(equicorrelated(4, 0.5)), "dropuot", 0.8, 1_000, rng)
+    assert rng.bit_generator.state == before
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,17 @@ def test_train_config_validation():
         TrainConfig(batch_size=1)
 
 
+@pytest.mark.parametrize("epochs", [0, -1])
+def test_train_config_needs_an_epoch(epochs):
+    with pytest.raises(ValueError, match="epochs must be at least 1"):
+        TrainConfig(epochs=epochs)
+
+
+def test_train_and_report_needs_a_seed():
+    with pytest.raises(ValueError, match="at least one seed"):
+        train_and_report([("baseline", None)], TrainConfig(epochs=1), hidden_widths=(4,), seeds=())
+
+
 # ---------------------------------------------------------------------------
 # forward contracts
 
@@ -500,6 +511,18 @@ def test_train_releases_its_workspace_when_it_raises():
     # the first recorded epoch evaluates a validation set of the wrong width
     with pytest.raises(ValueError, match="input must have shape"):
         train(model, x_tr, y_tr, config, np.random.default_rng(4), x_va[:, :4], y_va, record_every=1)
+    assert held_buffers(model) == []
+
+
+@pytest.mark.parametrize("given, missing", [("x_val", "y_val"), ("y_val", "x_val")])
+def test_train_needs_both_halves_of_the_validation_set(given, missing):
+    model, (x_tr, y_tr, x_va, y_va) = overfit_setup("rotation-bn")
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    val = {"x_val": x_va} if given == "x_val" else {"y_val": y_va}
+    with pytest.raises(ValueError, match=f"{missing} is missing"):
+        train(model, x_tr, y_tr, TrainConfig(epochs=1, batch_size=8), rng, **val)
+    assert rng.bit_generator.state == before
     assert held_buffers(model) == []
 
 

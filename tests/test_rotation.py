@@ -138,7 +138,7 @@ def test_realizations_compare_and_hash_by_identity():
         lambda: Pairing([0, 1, 2]),
         lambda: BatchRotation(perm=batch.perm.copy(), tangents=batch.tangents.copy()),
         lambda: RotationRealization(pairing, np.ones((2, 1))),
-        lambda: CovStats(n=3, mean=np.zeros(3), cov=cov),
+        lambda: CovStats(mean=np.zeros(3), cov=cov),
         lambda: GaussianSource(cov),
         lambda: ReluGaussianSource(cov),
         lambda: RegressionProblem(np.eye(3), np.ones(3), 0.5),
