@@ -1,11 +1,14 @@
 """Seeded, config-driven experiment runner with CSV outputs.
 
 Every experiment is a subcommand.  Parameters come from an optional JSON
-config file plus command-line flags (flags win); each run writes its CSV
-artifacts and a manifest echoing the merged config, the seed and library
-versions into the output directory.  Reruns with the same config and seed
-produce byte-identical CSV bodies; wall-clock information is confined to
-the manifest.
+config file plus command-line flags (flags win); a key outside its range
+is rejected by name before anything runs.  Each runner returns its
+(file name, header, rows) tables and writes nothing; ``run`` writes the
+CSVs and a manifest echoing the merged config, the seed and library
+versions into the output directory only after the runner has returned, so
+a run that exits non-zero writes nothing.  Reruns with the same config and
+seed produce byte-identical CSV bodies; wall-clock information is confined
+to the manifest.
 
 Exit codes: 0 success, 2 bad configuration (the offending key is named),
 3 numerical failure.
@@ -70,7 +73,9 @@ def _bool(text) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# parameter schema per subcommand: name -> (converter, default, help)
+# parameter schema per subcommand: name -> (converter, default, help[, bound]);
+# the optional bound is the least allowed value, or "positive"; only keys the
+# library does not already reject by name carry one
 _GLOBAL = {
     "seed": (int, 0, "random seed recorded in the manifest"),
     "out": (str, None, "output directory (default: $ROTNOISE_OUTDIR or ./rotnoise-results)"),
@@ -84,7 +89,7 @@ _SCHEMAS: dict[str, dict] = {
         "realizations": (int, 100, "realizations for the exact checks"),
     },
     "coadapt": {
-        "dim": (int, 8, "feature dimension"),
+        "dim": (int, 8, "feature dimension", 2),
         "rho": (float, 0.5, "equicorrelation of the Gaussian source"),
         "keep_rate": (float, 0.8, "matched keep rate"),
         "samples": (float, 1e6, "Monte-Carlo sample count"),
@@ -93,21 +98,21 @@ _SCHEMAS: dict[str, dict] = {
         "n": (int, 64, "number of data points"),
         "dim": (int, 6, "feature dimension"),
         "lambda": (float, 1.0, "noise strength (1-p)/p"),
-        "trials": (int, 50, "random design matrices to test"),
+        "trials": (int, 50, "random design matrices to test", 1),
         "degenerate_column": (_bool, False, "scale one column down to 1e-8"),
     },
     "angle-demo": {
         "dim": (int, 1024, "vector dimension for the mask-angle check"),
         "keep_rate": (float, 0.5, "dropout keep rate"),
         "samples": (float, 1e4, "vectors per estimate"),
-        "classes": (int, 10, "weight rows for the flip-rate curve"),
-        "margin_dim": (int, 32, "feature dimension for the flip-rate curve"),
+        "classes": (int, 10, "weight rows for the flip-rate curve", 2),
+        "margin_dim": (int, 32, "feature dimension for the flip-rate curve", 2),
         "sigma": (float, 0.5, "gaussian tangent scale of the rotation noise"),
         "flip_samples": (float, 2e4, "rotations per margin grid point"),
     },
     "var-shift": {
         "dim": (int, 64, "feature dimension"),
-        "rows": (int, 256, "weight rows sampled on the sphere"),
+        "rows": (int, 256, "weight rows sampled on the sphere", 1),
         "keep_rate": (float, 0.5, "dropout keep rate"),
         "source": (str, "relu-random", "relu-random | relu-equicorr | gaussian-equicorr"),
         "rho": (float, 0.3, "correlation parameter of the equicorrelated sources"),
@@ -117,20 +122,20 @@ _SCHEMAS: dict[str, dict] = {
         "batch": (int, 8, "batch size"),
         "dist": (str, "gaussian", "source distribution tag"),
         "samples": (float, 1e5, "draws per grid point"),
-        "grid_max": (float, 3.0, "grid half-width"),
-        "grid_step": (float, 0.05, "grid spacing"),
+        "grid_max": (float, 3.0, "grid half-width", "positive"),
+        "grid_step": (float, 0.05, "grid spacing", "positive"),
     },
     "bn-poly": {
         "batch": (int, 8, "batch size"),
         "dist": (str, "gaussian", "source distribution tag"),
         "samples": (float, 1e6, "draws per grid point"),
-        "grid_max": (float, 3.3, "fit window half-width"),
-        "grid_step": (float, 0.05, "grid spacing"),
+        "grid_max": (float, 3.3, "fit window half-width", "positive"),
+        "grid_step": (float, 0.05, "grid spacing", "positive"),
     },
     "cn-check": {
-        "batch": (int, 8, "batch size"),
+        "batch": (int, 8, "batch size", 3),
         "samples": (float, 2e5, "draws per grid point"),
-        "grid_max": (float, 3.0, "grid half-width"),
+        "grid_max": (float, 3.0, "grid half-width", "positive"),
         "points": (int, 13, "grid points"),
         "normalizer": (str, "b-1", "leave-one-out divisor: b-1 or b"),
     },
@@ -145,9 +150,9 @@ _SCHEMAS: dict[str, dict] = {
         "seeds": (int, 5, "paired seeds"),
         "keep_rate": (float, 0.8, "equivalent keep rate of the rotation op"),
         "width": (int, 256, "hidden width"),
-        "n_train": (int, 200, "training set size"),
-        "record_every": (int, 1, "record accuracy every k epochs (0: final only)"),
-        "gap_window": (int, 10, "epochs averaged into the reported gap"),
+        "n_train": (int, 200, "training set size", 2),
+        "record_every": (int, 1, "record accuracy every k epochs (0: final only)", 0),
+        "gap_window": (int, 10, "epochs averaged into the reported gap", 1),
     },
 }
 
@@ -176,11 +181,12 @@ def _schema(command: str) -> dict:
 
 
 def merge_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
-    """Validate keys against the schema and let flags override file values."""
+    """Validate keys against the schema and let flags override file values.
+
+    The merged value of every key with a bound is checked against it.
+    """
     schema = _schema(command)
-    merged = {}
-    for key, (conv, default, _help) in schema.items():
-        merged[key] = default
+    merged = {key: default for key, (_conv, default, *_rest) in schema.items()}
     for key, value in file_cfg.items():
         if key not in schema:
             raise ConfigError(f"unknown config key: {key!r}")
@@ -192,7 +198,19 @@ def merge_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
     for key, value in flag_cfg.items():
         if value is not None:
             merged[key] = value
+    for key, (_conv, _default, _help, *bound) in schema.items():
+        if bound:
+            _check_bound(key, merged[key], bound[0])
     return merged
+
+
+def _check_bound(key: str, value, bound) -> None:
+    # written as "not ... >" so that a NaN fails too
+    if bound == "positive":
+        if not value > 0:
+            raise ConfigError(f"config key {key!r} must be positive, got {value}")
+    elif not value >= bound:
+        raise ConfigError(f"config key {key!r} must be at least {bound}, got {value}")
 
 
 def _resolve_outdir(merged: dict) -> Path:
@@ -228,22 +246,23 @@ def _write_manifest(outdir: Path, command: str, merged: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each returns its (file name, header, rows)
+# tables and writes nothing
 
 
-def _run_verify_rotation(merged: dict, outdir: Path, rng: np.random.Generator):
+def _run_verify_rotation(merged: dict, rng: np.random.Generator):
     dim = merged["dim"]
     invariants = rotation_invariants(
         dim, gaussian_tangent(merged["sigma"]), merged["realizations"], int(merged["samples"]), rng
     )
     rows = [(name, dim, stat, bound, stat < bound) for name, stat, bound in invariants]
-    _write_csv(outdir / "rotation_invariants.csv",
-               ["invariant", "dim", "statistic", "bound", "passed"], rows)
-    if not all(r[-1] for r in rows):
-        raise FloatingPointError("a rotation invariant exceeded its bound")
+    failed = [f"{name} (statistic {stat!r}, bound {bound!r})" for name, _, stat, bound, ok in rows if not ok]
+    if failed:
+        raise FloatingPointError(f"rotation invariants exceeded their bounds: {', '.join(failed)}")
+    return [("rotation_invariants.csv", ["invariant", "dim", "statistic", "bound", "passed"], rows)]
 
 
-def _run_coadapt(merged: dict, outdir: Path, rng: np.random.Generator):
+def _run_coadapt(merged: dict, rng: np.random.Generator):
     source = GaussianSource(equicorrelated(merged["dim"], merged["rho"]))
     rows = []
     for method in ("dropout", "rotation"):
@@ -252,15 +271,12 @@ def _run_coadapt(merged: dict, outdir: Path, rng: np.random.Generator):
             method, rep.keep_rate, rep.dim, rep.n_samples, rep.co_input, rep.co_output,
             rep.observed_factor, rep.predicted_factor, rep.stderr,
         ))
-    _write_csv(outdir / "coadaptation.csv",
-               ["method", "p", "D", "n", "co_in", "co_out", "factor_obs", "factor_pred", "stderr"],
-               rows)
+    header = ["method", "p", "D", "n", "co_in", "co_out", "factor_obs", "factor_pred", "stderr"]
+    return [("coadaptation.csv", header, rows)]
 
 
-def _run_linreg(merged: dict, outdir: Path, rng: np.random.Generator):
+def _run_linreg(merged: dict, rng: np.random.Generator):
     n, dim, lam = merged["n"], merged["dim"], merged["lambda"]
-    if merged["trials"] < 1:
-        raise ConfigError(f"config key 'trials' must be at least 1, got {merged['trials']}")
     rows = []
     for trial in range(merged["trials"]):
         x = rng.standard_normal((n, dim))
@@ -270,24 +286,23 @@ def _run_linreg(merged: dict, outdir: Path, rng: np.random.Generator):
         kr, kd = condition_numbers(RegressionProblem(x, y, lam))
         rows.append((lam, "rotation", dim, n, kr))
         rows.append((lam, "dropout", dim, n, kd))
-    _write_csv(outdir / "conditioning.csv", ["lambda", "method", "D", "N", "kappa"], rows)
+    return [("conditioning.csv", ["lambda", "method", "D", "N", "kappa"], rows)]
 
 
-def _run_angle_demo(merged: dict, outdir: Path, rng: np.random.Generator):
+def _run_angle_demo(merged: dict, rng: np.random.Generator):
     mean, err = dropout_rotation_angle(
         merged["dim"], merged["keep_rate"], int(merged["samples"]), rng
     )
-    _write_csv(outdir / "dropout_angle.csv",
-               ["D", "p", "n", "cos2_mean", "stderr"],
-               [(merged["dim"], merged["keep_rate"], int(merged["samples"]), mean, err)])
-
     w = rng.standard_normal((merged["classes"], merged["margin_dim"]))
     curve = margin_flip_curve(w, gaussian_tangent(merged["sigma"]), int(merged["flip_samples"]), rng)
-    rows = [tuple(map(float, row)) for row in curve]
-    _write_csv(outdir / "margin_flip.csv", ["margin", "flip_rate", "stderr"], rows)
+    return [
+        ("dropout_angle.csv", ["D", "p", "n", "cos2_mean", "stderr"],
+         [(merged["dim"], merged["keep_rate"], int(merged["samples"]), mean, err)]),
+        ("margin_flip.csv", ["margin", "flip_rate", "stderr"], [tuple(map(float, row)) for row in curve]),
+    ]
 
 
-def _run_var_shift(merged: dict, outdir: Path, rng: np.random.Generator):
+def _run_var_shift(merged: dict, rng: np.random.Generator):
     dim, rho = merged["dim"], merged["rho"]
     if merged["source"] == "relu-random":
         source = ReluGaussianSource(random_correlation(dim, rng))
@@ -309,58 +324,49 @@ def _run_var_shift(merged: dict, outdir: Path, rng: np.random.Generator):
                 float(report.var_train[unit]), float(report.var_test[unit]),
                 float(report.ratio[unit]),
             ))
-    _write_csv(outdir / "variance_shift.csv",
-               ["placement", "centered", "p", "D", "unit", "var_train", "var_test", "ratio"],
-               rows)
+    header = ["placement", "centered", "p", "D", "unit", "var_train", "var_test", "ratio"]
+    return [("variance_shift.csv", header, rows)]
 
 
 def _bn_curve(merged: dict, rng: np.random.Generator):
-    for key in ("grid_max", "grid_step"):
-        if not merged[key] > 0:
-            raise ConfigError(f"config key {key!r} must be positive, got {merged[key]}")
     grid = np.arange(-merged["grid_max"], merged["grid_max"] + 1e-9, merged["grid_step"])
     return mc_nonlinearity_curve(
         merged["dist"], merged["batch"], rng, grid=grid, n_mc=int(merged["samples"])
     )
 
 
-def _run_bn_curve(merged: dict, outdir: Path, rng: np.random.Generator):
+def _run_bn_curve(merged: dict, rng: np.random.Generator):
     curve = _bn_curve(merged, rng)
     columns = zip(curve.x_test, curve.f_expect, curve.f_var, curve.stderr)
     rows = [(curve.dist, curve.batch_size, *values) for values in columns]
-    _write_csv(outdir / "bn_curve.csv",
-               ["dist", "B", "x_test", "f_expect", "f_var", "stderr"], rows)
+    return [("bn_curve.csv", ["dist", "B", "x_test", "f_expect", "f_var", "stderr"], rows)]
 
 
-def _run_bn_poly(merged: dict, outdir: Path, rng: np.random.Generator):
+def _run_bn_poly(merged: dict, rng: np.random.Generator):
     fit = fit_poly_correction(_bn_curve(merged, rng))
-    _write_csv(outdir / "bn_poly.csv",
-               ["B", "a1", "a3", "a5", "a7", "rmse"],
-               [(merged["batch"], *fit.coeffs, fit.rmse)])
+    return [("bn_poly.csv", ["B", "a1", "a3", "a5", "a7", "rmse"],
+             [(merged["batch"], *fit.coeffs, fit.rmse)])]
 
 
-def _run_cn_check(merged: dict, outdir: Path, rng: np.random.Generator):
-    b = merged["batch"]
-    if b < 3:
-        raise ConfigError("config key 'batch' must be at least 3 for cross-normalization")
+def _run_cn_check(merged: dict, rng: np.random.Generator):
     grid = np.linspace(-merged["grid_max"], merged["grid_max"], merged["points"])
-    curve = cross_normalization_curve(b, rng, grid, int(merged["samples"]), merged["normalizer"])
+    curve = cross_normalization_curve(
+        merged["batch"], rng, grid, int(merged["samples"]), merged["normalizer"]
+    )
     rows = zip(grid, curve.f_expect, curve.stderr, affine_residuals(curve))
-    _write_csv(outdir / "cn_linearity.csv",
-               ["x1", "mean_output", "stderr", "fit_residual"], rows)
+    return [("cn_linearity.csv", ["x1", "mean_output", "stderr", "fit_residual"], rows)]
 
 
-def _run_noise_budget(merged: dict, outdir: Path, rng: np.random.Generator):
+def _run_noise_budget(merged: dict, rng: np.random.Generator):
     value, err = noise_budget(
         merged["batch"], merged["dist"], rng,
         n_outer=merged["outer"], n_inner=merged["inner"],
     )
-    _write_csv(outdir / "noise_budget.csv",
-               ["B", "dist", "n_outer", "n_inner", "budget", "stderr"],
-               [(merged["batch"], merged["dist"], merged["outer"], merged["inner"], value, err)])
+    return [("noise_budget.csv", ["B", "dist", "n_outer", "n_inner", "budget", "stderr"],
+             [(merged["batch"], merged["dist"], merged["outer"], merged["inner"], value, err)])]
 
 
-def _run_train_demo(merged: dict, outdir: Path, rng: np.random.Generator):
+def _run_train_demo(merged: dict, rng: np.random.Generator):
     config = TrainConfig(
         epochs=merged["epochs"], seed=merged["seed"], n_train=merged["n_train"]
     )
@@ -373,10 +379,9 @@ def _run_train_demo(merged: dict, outdir: Path, rng: np.random.Generator):
         record_every=merged["record_every"],
         gap_window=merged["gap_window"],
     )
-    _write_csv(outdir / "train_demo.csv",
-               ["regularizer", "strength", "seed", "epoch", "train_acc", "val_acc"], rows)
     for label, stats in summary.items():
         print(f"{label}: gap {stats['gap_mean']:.4f} +- {stats['gap_sd']:.4f}")
+    return [("train_demo.csv", ["regularizer", "strength", "seed", "epoch", "train_acc", "val_acc"], rows)]
 
 
 _RUNNERS = {
@@ -405,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command in _SCHEMAS:
         sp = sub.add_parser(command)
         sp.add_argument("--config", default=None, help="JSON config file")
-        for key, (conv, default, help_text) in _schema(command).items():
+        for key, (conv, default, help_text, *_bound) in _schema(command).items():
             flag = "--" + key.replace("_", "-")
             if conv is _bool:
                 sp.add_argument(flag, default=None, type=_bool, nargs="?", const=True,
@@ -423,10 +428,7 @@ def run(argv=None) -> int:
         file_cfg = load_config(args.config) if args.config else {}
         flag_cfg = {key: getattr(args, key) for key in _schema(command)}
         merged = merge_config(command, file_cfg, flag_cfg)
-        outdir = _resolve_outdir(merged)
-        rng = np.random.default_rng(merged["seed"])
-        _RUNNERS[command](merged, outdir, rng)
-        _write_manifest(outdir, command, merged)
+        tables = _RUNNERS[command](merged, np.random.default_rng(merged["seed"]))
     except (ArithmeticError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
@@ -434,6 +436,11 @@ def run(argv=None) -> int:
     except (ValueError, KeyError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
+    # the one write site, reached only once the runner has returned
+    outdir = _resolve_outdir(merged)
+    for name, header, rows in tables:
+        _write_csv(outdir / name, header, rows)
+    _write_manifest(outdir, command, merged)
     return 0
 
 

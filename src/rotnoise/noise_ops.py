@@ -211,8 +211,8 @@ class NoiseOpSpec:
     (rotation tangents are gaussian, matched through (1 - p)/p = E tan^2
     theta), the multiplier variance sigma^2 for gaussian dropout, and the
     half-width beta for uout.  ``centered`` wraps the op in ``Centered``.
-    The paper's conv and recurrent variants are ``apply_featuremap`` and
-    ``fixed_direction_sequence``.
+    The paper's conv variant is ``apply_featuremap``; its recurrent variant
+    is ``apply_rotation`` with one pairing per sequence.
     """
 
     kind: str

@@ -52,7 +52,6 @@ __all__ = [
     "sample_batch_rotation",
     "rotation_invariants",
     "apply_featuremap",
-    "fixed_direction_sequence",
 ]
 
 _HALF_PI = np.pi / 2
@@ -333,7 +332,16 @@ def _rotate(x, perm: np.ndarray, tangent, base=None) -> np.ndarray:
 
 
 def apply_rotation(x, realization: RotationRealization) -> np.ndarray:
-    """Apply one rotation realization along the last axis of ``x`` in O(D)."""
+    """Apply one rotation realization along the last axis of ``x`` in O(D).
+
+    The recurrent variant keeps one pairing for a whole sequence, so the
+    noise direction is stable across time steps, and redraws the angle at
+    every step::
+
+        pairing = sample_pairing(dim, rng)
+        ys = [apply_rotation(x, RotationRealization(pairing, float(angles.sample_tangents((), rng))))
+              for x in xs]
+    """
     return _rotate(x, realization.pairing.perm, realization.tangent)
 
 
@@ -483,21 +491,3 @@ def apply_featuremap(
     out = _rotate(last - x.mean(axis=(0, 2, 3)), pairing.perm, t[..., None], base=last)
     out = np.ascontiguousarray(np.moveaxis(out, -1, 1))
     return out if batched else out[0]
-
-
-def fixed_direction_sequence(xs, angles, rng: np.random.Generator) -> list[np.ndarray]:
-    """Rotate a sequence of vectors with one shared pairing, fresh angles.
-
-    The pairing plays the role of a recurrent noise mask: it is drawn once
-    per sequence so the noise direction is stable across time steps, while
-    the angle is redrawn at every step.  Inputs are taken as-is (centering,
-    when wanted, is the caller's concern).
-    """
-    xs = [np.asarray(x, dtype=np.float64) for x in xs]
-    if not xs:
-        return []
-    dim = xs[0].shape[-1]
-    for x in xs:
-        _check_dim(x, dim)
-    perm = sample_pairing(dim, rng).perm
-    return [_rotate(x, perm, float(angles.sample_tangents((), rng))) for x in xs]

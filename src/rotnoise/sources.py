@@ -19,7 +19,9 @@ __all__ = [
 
 
 def equicorrelated(dim: int, rho: float) -> np.ndarray:
-    """Correlation matrix with constant off-diagonal entries."""
+    """Correlation matrix with constant off-diagonal entries (dim >= 2)."""
+    if dim < 2:
+        raise ValueError(f"equicorrelation needs dim of at least 2, got {dim}")
     if not -1.0 / (dim - 1) < rho < 1.0:
         raise ValueError("equicorrelation parameter outside the valid range")
     mat = np.full((dim, dim), float(rho))

@@ -54,6 +54,15 @@ def test_bad_value_type_is_named():
         merge_config("coadapt", {"dim": "eight"}, {})
 
 
+@pytest.mark.parametrize(
+    "file_cfg, flag_cfg", [({"rows": 0}, {}), ({}, {"rows": 0}), ({"rows": 0}, {"rows": None})]
+)
+def test_out_of_range_value_is_named_from_file_or_flag(file_cfg, flag_cfg):
+    with pytest.raises(ConfigError, match="'rows' must be at least 1, got 0"):
+        merge_config("var-shift", file_cfg, flag_cfg)
+    assert merge_config("var-shift", {"rows": 0}, {"rows": 1})["rows"] == 1
+
+
 # ---------------------------------------------------------------------------
 # subcommand runs (tiny budgets)
 
@@ -67,12 +76,40 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch):
-    def boom(merged, outdir, rng):
+    def boom(merged, rng):
         raise FloatingPointError("synthetic numerical failure")
 
     monkeypatch.setitem(cli._RUNNERS, "coadapt", boom)
     code = run(["coadapt", "--samples", "100", "--out", str(tmp_path)])
     assert code == 3
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_failure_after_the_first_table_writes_nothing(tmp_path, monkeypatch):
+    # dropout_angle.csv's estimate is done before the flip-rate curve fails
+    def boom(*args):
+        raise FloatingPointError("synthetic flip-rate failure")
+
+    monkeypatch.setattr(cli, "margin_flip_curve", boom)
+    out = tmp_path / "out"
+    code = run(["angle-demo", "--dim", "64", "--samples", "500", "--out", str(out)])
+    assert code == 3
+    assert not (out / "dropout_angle.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_failed_rotation_invariant_is_named_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def one_failing(dim, angles, n_realizations, n_samples, rng):
+        return [("dense-equivalence", 0.0, 1e-12), ("roundtrip", 0.5, 1e-12),
+                ("zero-centered-mean", 1.0, 4.0)]
+
+    monkeypatch.setattr(cli, "rotation_invariants", one_failing)
+    code = run(["verify-rotation", "--out", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "roundtrip (statistic 0.5, bound 1e-12)" in err
+    assert "dense-equivalence" not in err and "zero-centered-mean" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_rotation_run(tmp_path):
@@ -220,6 +257,15 @@ def test_degenerate_monte_carlo_budget_exits_2(tmp_path, capsys, argv, csv_name)
         (["linreg", "--trials", "-1"], "conditioning.csv", "'trials' must be at least 1"),
         (["train-demo", "--seeds", "0"], "train_demo.csv", "at least one seed"),
         (["train-demo", "--epochs", "0"], "train_demo.csv", "epochs must be at least 1"),
+        (["coadapt", "--dim", "1"], "coadaptation.csv", "'dim' must be at least 2"),
+        (["angle-demo", "--classes", "0"], "dropout_angle.csv", "'classes' must be at least 2"),
+        (["angle-demo", "--margin-dim", "1"], "dropout_angle.csv", "'margin_dim' must be at least 2"),
+        (["var-shift", "--rows", "0"], "variance_shift.csv", "'rows' must be at least 1"),
+        (["cn-check", "--batch", "2"], "cn_linearity.csv", "'batch' must be at least 3"),
+        (["cn-check", "--grid-max", "0"], "cn_linearity.csv", "'grid_max' must be positive"),
+        (["train-demo", "--n-train", "0"], "train_demo.csv", "'n_train' must be at least 2"),
+        (["train-demo", "--record-every", "-1"], "train_demo.csv", "'record_every' must be at least 0"),
+        (["train-demo", "--gap-window", "0"], "train_demo.csv", "'gap_window' must be at least 1"),
     ],
 )
 def test_degenerate_setting_exits_2(tmp_path, capsys, argv, csv_name, message):
@@ -227,6 +273,7 @@ def test_degenerate_setting_exits_2(tmp_path, capsys, argv, csv_name, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / csv_name).exists()
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("realizations", ["0", "-3"])

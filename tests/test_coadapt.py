@@ -259,6 +259,12 @@ def test_verify_reduction_equicorrelated():
         assert 0.0 <= report.observed_factor <= 1.0 + 5 * report.stderr
 
 
+@pytest.mark.parametrize("dim", [1, 0, -2])
+def test_equicorrelated_names_a_dimension_below_2(dim):
+    with pytest.raises(ValueError, match=f"dim of at least 2, got {dim}"):
+        equicorrelated(dim, 0.0)
+
+
 def test_verify_reduction_past_the_sign_flip():
     # D = 3, p = 0.2: lam r = 4/3 > 1, so the noise flips the sign of the
     # off-diagonal covariance, and the factor is |1 - 4/3| / (1 + 8/3) = 1/11.

@@ -30,7 +30,6 @@ from rotnoise import (
     apply_featuremap,
     apply_rotation,
     apply_rotation_transpose,
-    fixed_direction_sequence,
     gaussian_tangent,
     mc_nonlinearity_curve,
     noise_budget,
@@ -116,9 +115,13 @@ def case_featuremap(rng):
 
 
 def case_sequence(rng):
+    # the recurrent variant: one pairing per sequence, a fresh angle per step
     out = []
     for dim, angles in ((7, gaussian_tangent(0.5)), (8, uniform_angle(0.9))):
-        out += fixed_direction_sequence(list(rng.standard_normal((4, 3, dim))), angles, rng)
+        xs = rng.standard_normal((4, 3, dim))
+        pairing = sample_pairing(dim, rng)
+        out += [apply_rotation(x, RotationRealization(pairing, float(angles.sample_tangents((), rng))))
+                for x in xs]
     return out
 
 

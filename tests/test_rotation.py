@@ -22,7 +22,6 @@ from rotnoise import (
     apply_rotation,
     apply_rotation_transpose,
     fixed_angle,
-    fixed_direction_sequence,
     gaussian_tangent,
     keep_rate_for,
     rotation_invariants,
@@ -537,45 +536,6 @@ def test_featuremap_block_only_rotates_inside():
 
 
 # ---------------------------------------------------------------------------
-# sequences
-
-
-def test_sequence_empty():
-    rng = np.random.default_rng(22)
-    assert fixed_direction_sequence([], gaussian_tangent(0.5), rng) == []
-
-
-def test_sequence_zero_angle_is_identity():
-    rng = np.random.default_rng(23)
-    xs = [np.arange(4.0), np.ones(4)]
-    out = fixed_direction_sequence(xs, fixed_angle(0.0), rng)
-    for a, b in zip(out, xs):
-        np.testing.assert_allclose(a, b, atol=0)
-
-
-def test_sequence_shares_pairing_across_steps():
-    # a one-hot input exposes the partner of its hot coordinate: the two
-    # steps must perturb the same (single) coordinate
-    rng = np.random.default_rng(24)
-    e0 = np.zeros(8)
-    e0[0] = 1.0
-    for _ in range(20):
-        out = fixed_direction_sequence([e0, e0], fixed_angle(0.5), rng)
-        supports = [np.nonzero(np.abs(o - e0) > 1e-15)[0].tolist() for o in out]
-        assert supports[0] == supports[1]
-
-
-def test_sequence_single_step_matches_dense_rotation():
-    seed = 25
-    xs = [np.random.default_rng(0).standard_normal(6)]
-    out = fixed_direction_sequence(xs, fixed_angle(0.4), np.random.default_rng(seed))
-    rng = np.random.default_rng(seed)
-    pairing = sample_pairing(6, rng)
-    expected = apply_rotation(xs[0], RotationRealization(pairing, np.tan(0.4)))
-    np.testing.assert_allclose(out[0], expected, atol=0)
-
-
-# ---------------------------------------------------------------------------
 # the blocked permutation kernel against the fancy-indexing reference
 
 # no shrink phase: a failing example is reported as drawn, at once
@@ -669,19 +629,6 @@ def test_featuremap_matches_reference_shuffle(channels, n, block, seed):
     assert out.flags.c_contiguous
     single = apply_featuremap(x[0], angles, np.random.default_rng(seed + 2))
     assert_same_bits(single, featuremap_reference(x[:1], angles, np.random.default_rng(seed + 2))[0])
-
-
-@KERNEL_EXAMPLES
-@given(st.sampled_from(KERNEL_DIMS), st.integers(1, 4), st.integers(0, 2**32 - 1))
-def test_sequence_matches_reference_shuffle(dim, steps, seed):
-    xs = list(np.random.default_rng(seed).standard_normal((steps, dim)))
-    angles = gaussian_tangent(0.6)
-    out = fixed_direction_sequence(xs, angles, np.random.default_rng(seed + 1))
-    rng = np.random.default_rng(seed + 1)
-    pairing = sample_pairing(dim, rng)
-    for x, y in zip(xs, out, strict=True):
-        t = float(angles.sample_tangents((), rng))
-        assert_same_bits(y, rotate_reference(x, pairing.pairs[:, 0], pairing.pairs[:, 1], t))
 
 
 @KERNEL_EXAMPLES
