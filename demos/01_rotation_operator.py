@@ -11,8 +11,6 @@ import numpy as np
 from rotnoise import (
     Pairing,
     RotationRealization,
-    apply_rotation,
-    apply_rotation_transpose,
     gaussian_tangent,
     keep_rate_for,
     rotation_matrix,
@@ -32,7 +30,7 @@ print("planes:", pairing.pairs.tolist())
 # applying with tan(theta) = 1 mixes each plane's coordinates
 x = np.array([1.0, 2.0, 3.0, 4.0])
 real = RotationRealization(pairing, tangent=1.0)
-y = apply_rotation(x, real)
+y = real.apply(x)
 print("x       :", x)
 print("rotated :", y)
 print("norm grows by exactly 1 + tan^2:", y @ y / (x @ x))
@@ -44,14 +42,14 @@ print("max |sparse - dense| =", np.abs(y - dense).max())
 
 # the transpose is the backward-pass operator: <Rx, g> == <x, R^T g>
 g = rng.standard_normal(4)
-print("adjoint gap =", abs(apply_rotation(x, real) @ g - x @ apply_rotation_transpose(g, real)))
+print("adjoint gap =", abs(real.apply(x) @ g - x @ real.apply_transpose(g)))
 
 # the angle between input and output is theta itself, for any direction
 for _ in range(3):
     p = sample_pairing(8, rng)
     t = rng.uniform(-1, 1)
     v = rng.standard_normal(8)
-    w = apply_rotation(v, RotationRealization(p, t))
+    w = RotationRealization(p, t).apply(v)
     cos = v @ w / (np.linalg.norm(v) * np.linalg.norm(w))
     print(f"tan(theta)={t:+.3f}  cos(angle)={cos:.6f}  cos(arctan t)={np.cos(np.arctan(t)):.6f}")
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coadapt import CovStats
 from .noise_ops import NoiseOpSpec, make_noise_op
 from .rotation import Estimate, _check_budget, _estimate, _strength
 
@@ -609,10 +610,10 @@ def variance_shift(
         raise ValueError("placement must be 'dropout-a' or 'dropout-b'")
     if not 0.0 < keep_rate < 1.0:
         raise ValueError("keep rate must lie in (0, 1) for a nontrivial shift")
-    mean = np.asarray(source.mean, dtype=np.float64)
-    cov = np.asarray(source.cov, dtype=np.float64)
-    eig_floor = np.linalg.eigvalsh(cov)[0]
-    if eig_floor < -1e-10 or np.trace(cov) <= 0.0:
+    stats = CovStats(source.mean, source.cov)
+    mean, cov = stats.mean, stats.cov
+    # the trace first: a source of dimension 0 has no smallest eigenvalue
+    if np.trace(cov) <= 0.0 or np.linalg.eigvalsh(cov)[0] < -1e-10:
         raise ValueError("feature covariance must be positive semidefinite with positive trace")
     if W is None:
         if rng is None:

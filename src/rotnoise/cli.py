@@ -74,8 +74,8 @@ def _bool(text) -> bool:
 
 
 # parameter schema per subcommand: name -> (converter, default, help[, bound]);
-# the optional bound is the least allowed value, or "positive"; only keys the
-# library does not already reject by name carry one
+# the optional bound is the least allowed value, or "positive" (and finite);
+# only keys the library does not already reject by name carry one
 _GLOBAL = {
     "seed": (int, 0, "random seed recorded in the manifest"),
     "out": (str, None, "output directory (default: $ROTNOISE_OUTDIR or ./rotnoise-results)"),
@@ -205,10 +205,10 @@ def merge_config(command: str, file_cfg: dict, flag_cfg: dict) -> dict:
 
 
 def _check_bound(key: str, value, bound) -> None:
-    # written as "not ... >" so that a NaN fails too
+    # written as "not ..." so that a NaN fails too
     if bound == "positive":
-        if not value > 0:
-            raise ConfigError(f"config key {key!r} must be positive, got {value}")
+        if not 0 < value < np.inf:
+            raise ConfigError(f"config key {key!r} must be positive and finite, got {value}")
     elif not value >= bound:
         raise ConfigError(f"config key {key!r} must be at least {bound}, got {value}")
 

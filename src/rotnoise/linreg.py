@@ -21,7 +21,7 @@ import numpy as np
 
 from .coadapt import _noise_moment
 from .rotation import _BLOCK, AngleDistribution, BatchRotation, Estimate, _check_budget, _estimate
-from .rotation import _strength, sample_batch_rotation
+from .rotation import _strength, _typical_angle, sample_batch_rotation
 
 __all__ = [
     "RegressionProblem",
@@ -232,14 +232,6 @@ def classification_flip_rate(
     return Estimate(rate, float(np.sqrt(max(rate * (1.0 - rate), 1.0 / n_samples) / n_samples)))
 
 
-def _angle_scale(angles: AngleDistribution) -> float:
-    if angles.kind == "uniform-angle":
-        return angles.parameter
-    if angles.kind == "fixed":
-        return abs(angles.parameter)
-    return float(np.arctan(angles.parameter))
-
-
 def margin_flip_curve(
     W: np.ndarray,
     angles: AngleDistribution,
@@ -268,7 +260,7 @@ def margin_flip_curve(
     inplane -= (inplane @ bisector) * bisector
     inplane /= np.linalg.norm(inplane)
 
-    margins = np.linspace(0.0, 1.5 * _angle_scale(angles), 20)
+    margins = np.linspace(0.0, 1.5 * _typical_angle(angles), 20)
     rows = np.empty((margins.size, 3))
     for k, margin in enumerate(margins):
         # rotating by margin/2 toward w_a widens the angular gap to margin

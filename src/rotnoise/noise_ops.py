@@ -104,7 +104,7 @@ class GaussianDropout(_Multiplicative):
 
     def __post_init__(self):
         if not 0.0 <= self.sigma2 < np.inf:
-            raise ValueError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
+            raise ValueError(f"sigma2 (the strength) must be finite and nonnegative, got {self.sigma2}")
 
     def _multiplier(self, shape, rng):
         return 1.0 + np.sqrt(self.sigma2) * rng.standard_normal(shape)
@@ -122,7 +122,7 @@ class Uout(_Multiplicative):
 
     def __post_init__(self):
         if not 0.0 <= self.beta < np.inf:
-            raise ValueError(f"beta must be finite and nonnegative, got {self.beta}")
+            raise ValueError(f"beta (the strength) must be finite and nonnegative, got {self.beta}")
 
     def _multiplier(self, shape, rng):
         return 1.0 + rng.uniform(-self.beta, self.beta, shape)
@@ -200,9 +200,6 @@ class Centered(NoiseOp):
 # declarative construction
 
 
-_KINDS = ("rotation", "bernoulli-dropout", "gaussian-dropout", "uout")
-
-
 @dataclass(frozen=True)
 class NoiseOpSpec:
     """Declarative description of a dense noise op, constructible from config.
@@ -212,7 +209,8 @@ class NoiseOpSpec:
     theta), the multiplier variance sigma^2 for gaussian dropout, and the
     half-width beta for uout.  ``centered`` wraps the op in ``Centered``.
     The paper's conv variant is ``apply_featuremap``; its recurrent variant
-    is ``apply_rotation`` with one pairing per sequence.
+    is ``RotationRealization.apply`` with one pairing per sequence.  The
+    kind and strength are checked by building the op once.
     """
 
     kind: str
@@ -220,12 +218,7 @@ class NoiseOpSpec:
     centered: bool = False
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown noise kind: {self.kind!r}")
-        if self.kind in ("rotation", "bernoulli-dropout"):
-            _strength(self.strength)
-        elif not 0.0 <= self.strength < np.inf:
-            raise ValueError(f"strength must be finite and nonnegative, got {self.strength}")
+        make_noise_op(self)
 
 
 def make_noise_op(spec: NoiseOpSpec) -> NoiseOp:
@@ -236,8 +229,10 @@ def make_noise_op(spec: NoiseOpSpec) -> NoiseOp:
         op = GaussianDropout(spec.strength)
     elif spec.kind == "uout":
         op = Uout(spec.strength)
-    else:
+    elif spec.kind == "rotation":
         lam = _strength(spec.strength)
         # keep rate 1 is the no-noise limit: identity rotations
         op = RotationOut(gaussian_tangent(np.sqrt(lam)) if lam else fixed_angle(0.0))
+    else:
+        raise ValueError(f"unknown noise kind: {spec.kind!r}")
     return Centered(op) if spec.centered else op

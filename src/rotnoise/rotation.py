@@ -47,8 +47,6 @@ __all__ = [
     "uniform_angle_for_keep_rate",
     "sample_pairing",
     "rotation_matrix",
-    "apply_rotation",
-    "apply_rotation_transpose",
     "sample_batch_rotation",
     "rotation_invariants",
     "apply_featuremap",
@@ -133,6 +131,15 @@ def second_moment_of_tangent(dist: AngleDistribution) -> float:
         return float(np.tan(dist.parameter) ** 2)
     width = dist.parameter
     return float(np.tan(width) / width - 1.0)
+
+
+def _typical_angle(dist: AngleDistribution) -> float:
+    """A typical |theta|: the width, the fixed angle's size, or arctan(sigma)."""
+    if dist.kind == "uniform-angle":
+        return dist.parameter
+    if dist.kind == "fixed":
+        return abs(dist.parameter)
+    return float(np.arctan(dist.parameter))
 
 
 def _strength(keep_rate: float) -> float:
@@ -250,11 +257,27 @@ class RotationRealization:
     """One concrete rotation: a pairing plus tangent value(s).
 
     ``tangent`` is a scalar for dense vectors; an array broadcasts against
-    the input, so an (n, 1) column gives each row its own tangent.
+    the input, so an (n, 1) column gives each row its own tangent.  The
+    recurrent variant keeps one pairing for a whole sequence, so the noise
+    direction is stable across time steps, and redraws the angle at every
+    step::
+
+        pairing = sample_pairing(dim, rng)
+        ys = [RotationRealization(pairing, float(angles.sample_tangents((), rng))).apply(x)
+              for x in xs]
     """
 
     pairing: Pairing
     tangent: float | np.ndarray
+
+    def apply(self, x) -> np.ndarray:
+        """Apply the rotation along the last axis of ``x`` in O(D)."""
+        return _rotate(x, self.pairing.perm, self.tangent)
+
+    def apply_transpose(self, g) -> np.ndarray:
+        """Apply the transpose (backward pass): the same pairing with the
+        tangent negated, so <R x, g> == <x, R^T g> holds for all x, g."""
+        return _rotate(g, self.pairing.perm, -self.tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +289,7 @@ def rotation_matrix(pairing: Pairing, theta: float) -> np.ndarray:
 
     Equals the plane-rotation matrix divided by cos(theta); the fixed
     coordinate of an odd-dimension pairing is passed through unscaled.
-    Quadratic cost; prefer apply_rotation everywhere else.
+    Quadratic cost; prefer ``RotationRealization.apply`` everywhere else.
     """
     t = np.tan(theta)
     mat = np.eye(pairing.dim)
@@ -329,29 +352,6 @@ def _rotate(x, perm: np.ndarray, tangent, base=None) -> np.ndarray:
             yp[-1] = bp[-1] + tb * 0.0
         out[lo:hi].reshape(-1)[idx] = yp
     return out.reshape(shape)
-
-
-def apply_rotation(x, realization: RotationRealization) -> np.ndarray:
-    """Apply one rotation realization along the last axis of ``x`` in O(D).
-
-    The recurrent variant keeps one pairing for a whole sequence, so the
-    noise direction is stable across time steps, and redraws the angle at
-    every step::
-
-        pairing = sample_pairing(dim, rng)
-        ys = [apply_rotation(x, RotationRealization(pairing, float(angles.sample_tangents((), rng))))
-              for x in xs]
-    """
-    return _rotate(x, realization.pairing.perm, realization.tangent)
-
-
-def apply_rotation_transpose(g, realization: RotationRealization) -> np.ndarray:
-    """Apply the transpose of the realized operator (backward pass).
-
-    Identical to applying the same pairing with the tangent negated, so
-    <R x, g> == <x, R^T g> holds for all x, g.
-    """
-    return _rotate(g, realization.pairing.perm, -realization.tangent)
 
 
 # ---------------------------------------------------------------------------
@@ -426,15 +426,15 @@ def rotation_invariants(
         theta = float(np.arctan(angles.sample_tangents((), rng)))
         t = np.tan(theta)
         real = RotationRealization(pairing, t)
-        y = apply_rotation(x, real)
+        y = real.apply(x)
         scale = np.full(dim, 1.0 + t**2)
         if pairing.fixed is not None:
             scale[pairing.fixed] = 1.0  # the unpaired coordinate passes through
         i, j = pairing.pairs[0]
         errors = [
             float(np.abs(y - rotation_matrix(pairing, theta) @ x).max()),
-            abs(float(y @ g - x @ apply_rotation_transpose(g, real))) / max(1.0, abs(float(y @ g))),
-            float(np.abs(apply_rotation_transpose(y, real) / scale - x).max()),
+            abs(float(y @ g - x @ real.apply_transpose(g))) / max(1.0, abs(float(y @ g))),
+            float(np.abs(real.apply_transpose(y) / scale - x).max()),
             float(np.abs(np.array([y[i], y[j]]) - np.array([x[i] + t * x[j], x[j] - t * x[i]])).max()),
         ]
         if dim % 2 == 0:

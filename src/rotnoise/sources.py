@@ -76,17 +76,21 @@ def _relu_cross_moment(rho: np.ndarray) -> np.ndarray:
 class ReluGaussianSource:
     """ReLU of a standard Gaussian with correlation ``corr``.
 
-    Moments are exact: the mean of a rectified standard normal is
+    Samples are rectified ``GaussianSource(corr)`` samples, so ``corr`` gets
+    its square and symmetric checks, plus the unit diagonal that the moments
+    assume.  Moments are exact: the mean of a rectified standard normal is
     1/sqrt(2 pi) and the cross moments follow the arc-cosine kernel.
     """
 
     corr: np.ndarray
-    _chol: np.ndarray = field(init=False, repr=False)
+    _gaussian: GaussianSource = field(init=False, repr=False)
 
     def __post_init__(self):
-        corr = np.asarray(self.corr, dtype=np.float64)
-        object.__setattr__(self, "corr", corr)
-        object.__setattr__(self, "_chol", np.linalg.cholesky(corr))
+        gaussian = GaussianSource(self.corr)
+        if not np.allclose(np.diag(gaussian.cov), 1.0):
+            raise ValueError("correlation matrix must have a unit diagonal")
+        object.__setattr__(self, "corr", gaussian.cov)
+        object.__setattr__(self, "_gaussian", gaussian)
 
     @property
     def dim(self) -> int:
@@ -103,5 +107,4 @@ class ReluGaussianSource:
         return cov
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        z = rng.standard_normal((n, self.dim)) @ self._chol.T
-        return np.maximum(z, 0.0)
+        return np.maximum(self._gaussian.sample(n, rng), 0.0)

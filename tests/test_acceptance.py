@@ -23,8 +23,6 @@ from rotnoise import (
     RotationOut,
     RotationRealization,
     TrainConfig,
-    apply_rotation,
-    apply_rotation_transpose,
     build_network,
     condition_numbers,
     conditional_noise_covariance,
@@ -75,8 +73,8 @@ def test_criterion_01_rotation_correctness():
                 g = rng.standard_normal(dim)
                 mat = dense_oracle(pairing, theta)
 
-                y = apply_rotation(x, real)
-                gt = apply_rotation_transpose(g, real)
+                y = real.apply(x)
+                gt = real.apply_transpose(g)
                 assert np.abs(y - mat @ x).max() < 1e-12
                 assert np.abs(gt - mat.T @ g).max() < 1e-12
 

@@ -779,3 +779,11 @@ def test_variance_shift_validation():
     )
     with pytest.raises(ValueError, match="semidefinite"):
         variance_shift("dropout-a", False, 0.5, bad, n_rows=4, rng=rng)
+    # eigvalsh would read only the lower triangle of a non-symmetric covariance
+    skew = SimpleNamespace(mean=np.zeros(2), cov=np.array([[1.0, 0.9], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        variance_shift("dropout-a", False, 0.5, skew, n_rows=4, rng=rng)
+    # a source of dimension 0 has no smallest eigenvalue
+    empty = SimpleNamespace(mean=np.zeros(0), cov=np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="positive trace"):
+        variance_shift("dropout-a", False, 0.5, empty, n_rows=4, rng=rng)

@@ -266,6 +266,11 @@ def test_degenerate_monte_carlo_budget_exits_2(tmp_path, capsys, argv, csv_name)
         (["train-demo", "--n-train", "0"], "train_demo.csv", "'n_train' must be at least 2"),
         (["train-demo", "--record-every", "-1"], "train_demo.csv", "'record_every' must be at least 0"),
         (["train-demo", "--gap-window", "0"], "train_demo.csv", "'gap_window' must be at least 1"),
+        (["var-shift", "--dim", "0", "--rows", "4"], "variance_shift.csv", "with positive trace"),
+        (["cn-check", "--grid-max", "inf", "--samples", "2e3"], "cn_linearity.csv",
+         "'grid_max' must be positive and finite"),
+        (["bn-curve", "--grid-max", "inf"], "bn_curve.csv", "'grid_max' must be positive and finite"),
+        (["bn-curve", "--grid-step", "inf"], "bn_curve.csv", "'grid_step' must be positive and finite"),
     ],
 )
 def test_degenerate_setting_exits_2(tmp_path, capsys, argv, csv_name, message):

@@ -15,6 +15,7 @@ from rotnoise import (
     equicorrelated,
     gaussian_tangent,
     predicted_factor,
+    random_correlation,
     reduction_factor,
     total_variance,
     verify_reduction,
@@ -283,6 +284,29 @@ def test_verify_reduction_diagonal_source_is_flagged():
     report = verify_reduction(source, "dropout", 0.8, 20_000, rng)
     assert report.undefined
     assert np.isnan(report.observed_factor)
+
+
+@pytest.mark.parametrize(
+    "corr, message",
+    [([[1.0, 0.9], [0.0, 1.0]], "symmetric"), (4.0 * np.eye(2), "unit diagonal")],
+    ids=["non-symmetric", "non-unit-diagonal"],
+)
+def test_relu_source_rejects_what_is_not_a_correlation(corr, message):
+    # the arc-cosine moments hold only for a correlation matrix
+    with pytest.raises(ValueError, match=message):
+        ReluGaussianSource(corr)
+
+
+@pytest.mark.parametrize(
+    "make_corr",
+    [lambda: random_correlation(64, np.random.default_rng(5)), lambda: equicorrelated(8, 0.5)],
+    ids=["random-64", "equicorrelated-8"],
+)
+def test_relu_source_rectifies_gaussian_samples(make_corr):
+    corr = make_corr()
+    relu = ReluGaussianSource(corr).sample(1_000, np.random.default_rng(6))
+    gaussian = GaussianSource(corr).sample(1_000, np.random.default_rng(6))
+    assert relu.tobytes() == np.maximum(gaussian, 0.0).tobytes()
 
 
 def test_uncentered_dropout_on_relu_features():

@@ -28,8 +28,6 @@ from rotnoise import (
     RotationRealization,
     Uout,
     apply_featuremap,
-    apply_rotation,
-    apply_rotation_transpose,
     gaussian_tangent,
     mc_nonlinearity_curve,
     noise_budget,
@@ -70,7 +68,7 @@ def case_apply_rotation(rng):
         x, g = rng.standard_normal((2, 5, dim))
         for tangent in (float(rng.standard_normal()), rng.standard_normal((5, 1))):
             real = RotationRealization(sample_pairing(dim, rng), tangent)
-            out += [apply_rotation(x, real), apply_rotation_transpose(g, real)]
+            out += [real.apply(x), real.apply_transpose(g)]
     return out
 
 
@@ -120,8 +118,7 @@ def case_sequence(rng):
     for dim, angles in ((7, gaussian_tangent(0.5)), (8, uniform_angle(0.9))):
         xs = rng.standard_normal((4, 3, dim))
         pairing = sample_pairing(dim, rng)
-        out += [apply_rotation(x, RotationRealization(pairing, float(angles.sample_tangents((), rng))))
-                for x in xs]
+        out += [RotationRealization(pairing, float(angles.sample_tangents((), rng))).apply(x) for x in xs]
     return out
 
 

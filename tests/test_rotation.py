@@ -19,8 +19,6 @@ from rotnoise import (
     RotationRealization,
     ShiftReport,
     apply_featuremap,
-    apply_rotation,
-    apply_rotation_transpose,
     fixed_angle,
     gaussian_tangent,
     keep_rate_for,
@@ -166,7 +164,7 @@ def test_odd_dim_fixed_coordinate_is_uniform():
 
 def test_apply_matches_worked_example():
     pairing = Pairing([2, 1, 0, 3])
-    out = apply_rotation([1.0, 2.0, 3.0, 4.0], RotationRealization(pairing, 1.0))
+    out = RotationRealization(pairing, 1.0).apply([1.0, 2.0, 3.0, 4.0])
     np.testing.assert_allclose(out, [-2.0, 6.0, 4.0, 2.0], atol=0)
 
 
@@ -174,12 +172,12 @@ def test_zero_tangent_is_identity():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(8)
     pairing = sample_pairing(8, rng)
-    np.testing.assert_array_equal(apply_rotation(x, RotationRealization(pairing, 0.0)), x)
+    np.testing.assert_array_equal(RotationRealization(pairing, 0.0).apply(x), x)
 
 
 def test_norm_scaling_worked_example():
     pairing = Pairing([2, 1, 0, 3])
-    out = apply_rotation([1.0, 2.0, 3.0, 4.0], RotationRealization(pairing, 1.0))
+    out = RotationRealization(pairing, 1.0).apply([1.0, 2.0, 3.0, 4.0])
     assert out @ out == pytest.approx(60.0, abs=1e-12)
 
 
@@ -192,8 +190,8 @@ def test_matches_dense_oracle(dim):
         real = RotationRealization(pairing, np.tan(theta))
         x = rng.standard_normal(dim)
         mat = dense_oracle(pairing, theta)
-        assert np.abs(apply_rotation(x, real) - mat @ x).max() < 1e-12
-        assert np.abs(apply_rotation_transpose(x, real) - mat.T @ x).max() < 1e-12
+        assert np.abs(real.apply(x) - mat @ x).max() < 1e-12
+        assert np.abs(real.apply_transpose(x) - mat.T @ x).max() < 1e-12
 
 
 def test_transpose_worked_example():
@@ -201,7 +199,7 @@ def test_transpose_worked_example():
     # <Rx, g> = <x, R^T g> pins the sign of the third entry
     pairing = Pairing([2, 1, 0, 3])
     real = RotationRealization(pairing, 1.0)
-    out = apply_rotation_transpose([1.0, 0.0, 0.0, 0.0], real)
+    out = real.apply_transpose([1.0, 0.0, 0.0, 0.0])
     oracle = dense_oracle(pairing, np.pi / 4).T @ np.array([1.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(out, oracle, atol=1e-12)
     np.testing.assert_allclose(out, [1.0, 0.0, -1.0, 0.0], atol=1e-12)
@@ -211,7 +209,7 @@ def test_transpose_zero_tangent_is_identity():
     rng = np.random.default_rng(3)
     g = rng.standard_normal(6)
     pairing = sample_pairing(6, rng)
-    np.testing.assert_array_equal(apply_rotation_transpose(g, RotationRealization(pairing, 0.0)), g)
+    np.testing.assert_array_equal(RotationRealization(pairing, 0.0).apply_transpose(g), g)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 7, 16])
@@ -222,8 +220,8 @@ def test_adjoint_identity_random(dim):
         real = RotationRealization(pairing, float(rng.standard_normal()))
         x = rng.standard_normal(dim)
         g = rng.standard_normal(dim)
-        lhs = apply_rotation(x, real) @ g
-        rhs = x @ apply_rotation_transpose(g, real)
+        lhs = real.apply(x) @ g
+        rhs = x @ real.apply_transpose(g)
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
@@ -234,7 +232,7 @@ def test_transpose_roundtrip_recovers_input():
         pairing = sample_pairing(dim, rng)
         t = float(rng.standard_normal())
         real = RotationRealization(pairing, t)
-        back = apply_rotation_transpose(apply_rotation(x, real), real)
+        back = real.apply_transpose(real.apply(x))
         if pairing.fixed is None:
             np.testing.assert_allclose(back / (1 + t * t), x, atol=1e-12)
         else:
@@ -247,9 +245,9 @@ def test_dimension_mismatch_errors():
     pairing = Pairing([0, 1, 2, 3])
     real = RotationRealization(pairing, 0.3)
     with pytest.raises(ValueError, match="dimension"):
-        apply_rotation(np.zeros(5), real)
+        real.apply(np.zeros(5))
     with pytest.raises(ValueError, match="dimension"):
-        apply_rotation_transpose(np.zeros(3), real)
+        real.apply_transpose(np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +261,7 @@ def test_angle_between_input_and_output_is_theta():
             x = rng.standard_normal(dim)
             theta = rng.uniform(-1.3, 1.3)
             real = RotationRealization(sample_pairing(dim, rng), np.tan(theta))
-            y = apply_rotation(x, real)
+            y = real.apply(x)
             cos = x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
             assert abs(cos - np.cos(theta)) < 1e-10
 
@@ -273,7 +271,7 @@ def test_norm_scaling_exact_even_dim():
     for _ in range(20):
         x = rng.standard_normal(10)
         t = float(rng.standard_normal())
-        y = apply_rotation(x, RotationRealization(sample_pairing(10, rng), t))
+        y = RotationRealization(sample_pairing(10, rng), t).apply(x)
         assert y @ y == pytest.approx((x @ x) * (1 + t * t), rel=1e-12)
 
 
@@ -281,7 +279,7 @@ def test_odd_dim_fixed_coordinate_passes_through():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(7)
     pairing = sample_pairing(7, rng)
-    y = apply_rotation(x, RotationRealization(pairing, 0.8))
+    y = RotationRealization(pairing, 0.8).apply(x)
     assert y[pairing.fixed] == x[pairing.fixed]
 
 
@@ -290,7 +288,7 @@ def test_pair_law():
     x = rng.standard_normal(6)
     pairing = sample_pairing(6, rng)
     t = 0.37
-    y = apply_rotation(x, RotationRealization(pairing, t))
+    y = RotationRealization(pairing, t).apply(x)
     for i, j in pairing.pairs:
         assert y[i] == x[i] + t * x[j]
         assert y[j] == x[j] - t * x[i]
@@ -306,8 +304,8 @@ def test_batch_rotation_rows_match_single_realizations(dim):
     bwd = batch.apply_transpose(x)
     for r in range(9):
         real = RotationRealization(Pairing(batch.perm[r]), batch.tangents[r])
-        np.testing.assert_array_equal(fwd[r], apply_rotation(x[r], real))
-        np.testing.assert_array_equal(bwd[r], apply_rotation_transpose(x[r], real))
+        np.testing.assert_array_equal(fwd[r], real.apply(x[r]))
+        np.testing.assert_array_equal(bwd[r], real.apply_transpose(x[r]))
 
 
 def test_zero_centered_noise_mean():
@@ -592,8 +590,8 @@ def test_shared_pairing_matches_reference_shuffle(dim, layout, size, data, tange
     real = RotationRealization(pairing, tangent)
     i, j = pairing.pairs[:, 0], pairing.pairs[:, 1]
     for rows in (x, x[0]):
-        assert_same_bits(apply_rotation(rows, real), rotate_reference(rows, i, j, tangent))
-        assert_same_bits(apply_rotation_transpose(rows, real), rotate_reference(rows, i, j, -tangent))
+        assert_same_bits(real.apply(rows), rotate_reference(rows, i, j, tangent))
+        assert_same_bits(real.apply_transpose(rows), rotate_reference(rows, i, j, -tangent))
 
 
 def featuremap_reference(x, angles, rng, block=None):
@@ -655,7 +653,7 @@ def test_unpaired_coordinate_adds_a_signed_zero(dim):
     assert not np.signbit(out[np.arange(4), batch.perm[:, -1]]).any()
     assert_same_bits(out, rotate_reference(x, *planes(batch.perm), batch.tangents[:, None]))
     pairing = sample_pairing(dim, rng)
-    y = apply_rotation(x[0], RotationRealization(pairing, 0.5))
+    y = RotationRealization(pairing, 0.5).apply(x[0])
     assert not np.signbit(y[pairing.fixed])
 
 
