@@ -9,8 +9,8 @@ keep-rate equivalence with dropout.
 import numpy as np
 
 from rotnoise import (
+    BatchRotation,
     Pairing,
-    RotationRealization,
     gaussian_tangent,
     keep_rate_for,
     rotation_matrix,
@@ -29,7 +29,7 @@ print("planes:", pairing.pairs.tolist())
 
 # applying with tan(theta) = 1 mixes each plane's coordinates
 x = np.array([1.0, 2.0, 3.0, 4.0])
-real = RotationRealization(pairing, tangent=1.0)
+real = BatchRotation(pairing.perm, tangents=1.0)
 y = real.apply(x)
 print("x       :", x)
 print("rotated :", y)
@@ -49,7 +49,7 @@ for _ in range(3):
     p = sample_pairing(8, rng)
     t = rng.uniform(-1, 1)
     v = rng.standard_normal(8)
-    w = RotationRealization(p, t).apply(v)
+    w = BatchRotation(p.perm, t).apply(v)
     cos = v @ w / (np.linalg.norm(v) * np.linalg.norm(w))
     print(f"tan(theta)={t:+.3f}  cos(angle)={cos:.6f}  cos(arctan t)={np.cos(np.arctan(t)):.6f}")
 

@@ -620,6 +620,8 @@ def variance_shift(
             raise ValueError("sampling weight rows requires a generator")
         W = sample_sphere_rows(n_rows, mean.size, rng)
     W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2 or W.shape[1] != mean.size:
+        raise ValueError(f"W of shape {W.shape} is not (n_rows, {mean.size}), the source dimension")
 
     lam = _strength(keep_rate)
     second = cov if centered else cov + np.outer(mean, mean)

@@ -150,6 +150,8 @@ def marginalized_gradient(
     X, y = problem.X, problem.y
     n, dim = X.shape
     w = np.asarray(w, dtype=np.float64)
+    if w.shape != (dim,):
+        raise ValueError(f"w of shape {w.shape} does not match the problem dimension {dim}")
     grads = np.empty((n_trials, dim))
     # a block of trials is rotated by one kernel call and reduced by stacked
     # matmuls; each trial still draws its own rotations, in trial order
@@ -221,9 +223,11 @@ def classification_flip_rate(
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
         raise ValueError("need at least two weight rows to have a decision")
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != W.shape[1:]:
+        raise ValueError(f"x of shape {x.shape} does not match the width {W.shape[1]} of W")
     _check_budget("n_samples", n_samples)
     W = W / np.linalg.norm(W, axis=1, keepdims=True)
-    x = np.asarray(x, dtype=np.float64)
     base = int(np.argmax(W @ x))
     batch = sample_batch_rotation(n_samples, x.size, angles, rng)
     scores = batch.apply(np.broadcast_to(x, (n_samples, x.size))) @ W.T

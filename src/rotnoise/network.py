@@ -413,6 +413,8 @@ def train(
     if (x_val is None) != (y_val is None):
         missing = "x_val" if x_val is None else "y_val"
         raise ValueError(f"validation needs both x_val and y_val; {missing} is missing")
+    if record_every < 0:
+        raise ValueError(f"record_every must be at least 0, got {record_every}")
     params = model.params()
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     n = x_train.shape[0]
@@ -463,6 +465,8 @@ def train_and_report(
     """
     if not seeds:
         raise ValueError("train_and_report needs at least one seed")
+    if gap_window < 1:
+        raise ValueError(f"gap_window must be at least 1, got {gap_window}")
     rows = []
     gaps: dict[str, list[float]] = {label: [] for label, _ in regularizers}
     for label, spec in regularizers:
@@ -487,7 +491,7 @@ def train_and_report(
             strength = spec.strength if spec is not None else 0.0
             for epoch, tr, va in history:
                 rows.append((label, strength, seed, epoch, tr, va))
-            tail = history[-max(1, gap_window):]
+            tail = history[-gap_window:]
             gaps[label].append(float(np.mean([tr - va for _, tr, va in tail])))
     summary = {
         label: {

@@ -209,7 +209,7 @@ class NoiseOpSpec:
     theta), the multiplier variance sigma^2 for gaussian dropout, and the
     half-width beta for uout.  ``centered`` wraps the op in ``Centered``.
     The paper's conv variant is ``apply_featuremap``; its recurrent variant
-    is ``RotationRealization.apply`` with one pairing per sequence.  The
+    is ``BatchRotation.apply`` with one pairing per sequence.  The
     kind and strength are checked by building the op once.
     """
 

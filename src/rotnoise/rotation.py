@@ -11,15 +11,15 @@ so the whole map is y = x + tan(theta) * s with a sparse, signed shuffle s.
 The noise each coordinate receives is another coordinate's activation,
 which is what distinguishes this operator from elementwise dropout noise.
 
-A realization is stored as a permutation of the D coordinates: its first
-D // 2 entries are paired with the next D // 2, and for odd D the last
-entry is the unpaired coordinate.  A ``Pairing`` stores the one
-permutation that ``sample_pairing`` draws, shared by every row it is
-applied to; ``BatchRotation`` keeps one per row (the ones
-``sample_batch_rotation`` draws with ``argsort``).  A ``Pairing`` exposes its
-planes and unpaired coordinate as read-only views of the permutation.
+A realization, ``BatchRotation``, is a permutation of the D coordinates
+plus tangent(s): the first D // 2 entries are paired with the next D // 2,
+and for odd D the last entry is the unpaired coordinate.  Its ``perm`` is
+one (D,) permutation shared by every row, like the ``Pairing`` that
+``sample_pairing`` draws, or an (n, D) array with one per row (the ones
+``sample_batch_rotation`` draws with ``argsort``).  A ``Pairing`` exposes
+its planes and unpaired coordinate as read-only views of the permutation.
 
-One private kernel applies both forms.  It walks the rows in blocks of
+One private kernel applies both layouts.  It walks the rows in blocks of
 about 2**15 elements, so its temporaries stay in cache; per block it
 gathers x once at the flat index row * D + perm, forms x_p + t * s_p in the
 permuted frame with two half-width slice operations, and scatters the
@@ -37,7 +37,6 @@ __all__ = [
     "Estimate",
     "AngleDistribution",
     "Pairing",
-    "RotationRealization",
     "BatchRotation",
     "uniform_angle",
     "gaussian_tangent",
@@ -252,34 +251,6 @@ def sample_pairing(dim: int, rng: np.random.Generator) -> Pairing:
     return Pairing(rng.permutation(dim))
 
 
-@dataclass(frozen=True, eq=False)
-class RotationRealization:
-    """One concrete rotation: a pairing plus tangent value(s).
-
-    ``tangent`` is a scalar for dense vectors; an array broadcasts against
-    the input, so an (n, 1) column gives each row its own tangent.  The
-    recurrent variant keeps one pairing for a whole sequence, so the noise
-    direction is stable across time steps, and redraws the angle at every
-    step::
-
-        pairing = sample_pairing(dim, rng)
-        ys = [RotationRealization(pairing, float(angles.sample_tangents((), rng))).apply(x)
-              for x in xs]
-    """
-
-    pairing: Pairing
-    tangent: float | np.ndarray
-
-    def apply(self, x) -> np.ndarray:
-        """Apply the rotation along the last axis of ``x`` in O(D)."""
-        return _rotate(x, self.pairing.perm, self.tangent)
-
-    def apply_transpose(self, g) -> np.ndarray:
-        """Apply the transpose (backward pass): the same pairing with the
-        tangent negated, so <R x, g> == <x, R^T g> holds for all x, g."""
-        return _rotate(g, self.pairing.perm, -self.tangent)
-
-
 # ---------------------------------------------------------------------------
 # application
 
@@ -289,7 +260,7 @@ def rotation_matrix(pairing: Pairing, theta: float) -> np.ndarray:
 
     Equals the plane-rotation matrix divided by cos(theta); the fixed
     coordinate of an odd-dimension pairing is passed through unscaled.
-    Quadratic cost; prefer ``RotationRealization.apply`` everywhere else.
+    Quadratic cost; prefer ``BatchRotation.apply`` everywhere else.
     """
     t = np.tan(theta)
     mat = np.eye(pairing.dim)
@@ -297,11 +268,6 @@ def rotation_matrix(pairing: Pairing, theta: float) -> np.ndarray:
         mat[i, j] = t
         mat[j, i] = -t
     return mat
-
-
-def _check_dim(x: np.ndarray, dim: int):
-    if x.shape[-1] != dim:
-        raise ValueError(f"vector dimension {x.shape[-1]} does not match pairing dimension {dim}")
 
 
 _BLOCK = 1 << 15  # elements per kernel block: every temporary of a block stays in L2
@@ -321,15 +287,14 @@ def _rotate(x, perm: np.ndarray, tangent, base=None) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     dim = perm.shape[-1]
-    _check_dim(x, dim)
+    if x.shape[-1] != dim:
+        raise ValueError(f"vector dimension {x.shape[-1]} does not match pairing dimension {dim}")
     if perm.ndim == 2 and x.shape != perm.shape:
         raise ValueError(f"batch of shape {x.shape} does not match {perm.shape[0]} row rotations")
     shape = x.shape
     x = x.reshape(-1, dim)
     base = x if base is None else np.asarray(base, dtype=np.float64).reshape(-1, dim)
-    t = np.asarray(tangent, dtype=np.float64)
-    if t.ndim:
-        t = np.broadcast_to(t, shape[:-1] + (1,)).reshape(-1)
+    t = np.broadcast_to(np.asarray(tangent, dtype=np.float64), shape[:-1] + (1,)).reshape(-1)
     n, d = x.shape[0], dim // 2
     rows = max(1, _BLOCK // dim)
     offsets = np.arange(0, min(rows, n) * dim, dim)
@@ -342,7 +307,7 @@ def _rotate(x, perm: np.ndarray, tangent, base=None) -> np.ndarray:
         idx = np.add(shuffled, offsets[: hi - lo], order="C")
         xp = np.take(x[lo:hi], idx)
         bp = xp if base is x else np.take(base[lo:hi], idx)
-        tb = t[lo:hi] if t.ndim else t
+        tb = t[lo:hi]
         yp = np.empty_like(xp)
         first, second = yp[:d], yp[d : 2 * d]
         np.add(bp[:d], np.multiply(tb, xp[d : 2 * d], out=first), out=first)
@@ -354,27 +319,45 @@ def _rotate(x, perm: np.ndarray, tangent, base=None) -> np.ndarray:
     return out.reshape(shape)
 
 
-# ---------------------------------------------------------------------------
-# vectorized per-row realizations
-
-
 @dataclass(frozen=True, eq=False)
 class BatchRotation:
-    """Fresh rotation per row of an (n, D) batch, stored as permutations.
+    """One rotation realization: pairing permutation(s) plus tangent(s).
 
-    Row r pairs ``perm[r, :D // 2]`` with ``perm[r, D // 2 : 2 * (D // 2)]``
-    and rotates by ``tangents[r]``; for odd D, ``perm[r, -1]`` is the
-    unpaired coordinate.
+    ``perm`` is one (D,) permutation shared by every row, checked as a
+    ``Pairing``, or an (n, D) array with one per row of an (n, D) batch:
+    row r pairs ``perm[r, :D // 2]`` with ``perm[r, D // 2 : 2 * (D // 2)]``,
+    and for odd D ``perm[r, -1]`` is the unpaired coordinate.  ``tangents``
+    is a scalar or one value per row; with a shared pairing it broadcasts
+    against the input's leading axes.  The recurrent variant keeps one
+    pairing for a whole sequence, so the noise direction is stable across
+    time steps, and redraws the angle at every step::
+
+        pairing = sample_pairing(dim, rng)
+        ys = [BatchRotation(pairing.perm, angles.sample_tangents((), rng)).apply(x) for x in xs]
     """
 
     perm: np.ndarray
-    tangents: np.ndarray
+    tangents: float | np.ndarray
+
+    def __post_init__(self):
+        # an (n, D) perm is drawn on every train step, so it is neither sorted nor copied
+        perm = np.asarray(self.perm)
+        tangents = np.asarray(self.tangents, dtype=np.float64)
+        if perm.ndim != 2:
+            perm = Pairing(perm).perm
+        elif tangents.ndim and tangents.shape != perm.shape[:1]:
+            raise ValueError(f"tangents of shape {tangents.shape} do not match perm of shape {perm.shape}")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "tangents", tangents)
 
     def apply(self, x) -> np.ndarray:
-        return _rotate(x, self.perm, self.tangents[:, None])
+        """Apply the rotation along the last axis of ``x`` in O(D)."""
+        return _rotate(x, self.perm, self.tangents[..., None])
 
     def apply_transpose(self, g) -> np.ndarray:
-        return _rotate(g, self.perm, -self.tangents[:, None])
+        """Apply the transpose (backward pass): the same pairing with the
+        tangent negated, so <R x, g> == <x, R^T g> holds for all x, g."""
+        return _rotate(g, self.perm, -self.tangents[..., None])
 
 
 def sample_batch_rotation(
@@ -425,7 +408,7 @@ def rotation_invariants(
         pairing = sample_pairing(dim, rng)
         theta = float(np.arctan(angles.sample_tangents((), rng)))
         t = np.tan(theta)
-        real = RotationRealization(pairing, t)
+        real = BatchRotation(pairing.perm, t)
         y = real.apply(x)
         scale = np.full(dim, 1.0 + t**2)
         if pairing.fixed is not None:

@@ -14,6 +14,7 @@ from test_network import assert_grads_close, finite_difference_grads
 from test_rotation import dense_oracle
 
 from rotnoise import (
+    BatchRotation,
     BernoulliDropout,
     GaussianSource,
     LayerSpec,
@@ -21,7 +22,6 @@ from rotnoise import (
     RegressionProblem,
     ReluGaussianSource,
     RotationOut,
-    RotationRealization,
     TrainConfig,
     build_network,
     condition_numbers,
@@ -68,7 +68,7 @@ def test_criterion_01_rotation_correctness():
             for _ in range(100):
                 pairing = sample_pairing(dim, rng)
                 theta = rng.uniform(-1.3, 1.3)
-                real = RotationRealization(pairing, np.tan(theta))
+                real = BatchRotation(pairing.perm, np.tan(theta))
                 x = rng.standard_normal(dim)
                 g = rng.standard_normal(dim)
                 mat = dense_oracle(pairing, theta)

@@ -787,3 +787,7 @@ def test_variance_shift_validation():
     empty = SimpleNamespace(mean=np.zeros(0), cov=np.zeros((0, 0)))
     with pytest.raises(ValueError, match="positive trace"):
         variance_shift("dropout-a", False, 0.5, empty, n_rows=4, rng=rng)
+    # given weight rows must be 2-D and as wide as the source
+    for W in (np.ones(4), np.ones((3, 5)), np.ones((2, 3, 4))):
+        with pytest.raises(ValueError, match=r"is not \(n_rows, 4\), the source dimension"):
+            variance_shift("dropout-a", False, 0.5, relu_features(4), W=W)

@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 
 from rotnoise import (
+    BatchRotation,
     BernoulliDropout,
     Centered,
     GaussianDropout,
     RotationOut,
-    RotationRealization,
     Uout,
     apply_featuremap,
     gaussian_tangent,
@@ -66,8 +66,8 @@ def case_apply_rotation(rng):
     out = []
     for dim in (2, 3, 7, 16):
         x, g = rng.standard_normal((2, 5, dim))
-        for tangent in (float(rng.standard_normal()), rng.standard_normal((5, 1))):
-            real = RotationRealization(sample_pairing(dim, rng), tangent)
+        for tangent in (float(rng.standard_normal()), rng.standard_normal(5)):
+            real = BatchRotation(sample_pairing(dim, rng).perm, tangent)
             out += [real.apply(x), real.apply_transpose(g)]
     return out
 
@@ -118,7 +118,7 @@ def case_sequence(rng):
     for dim, angles in ((7, gaussian_tangent(0.5)), (8, uniform_angle(0.9))):
         xs = rng.standard_normal((4, 3, dim))
         pairing = sample_pairing(dim, rng)
-        out += [RotationRealization(pairing, float(angles.sample_tangents((), rng))).apply(x) for x in xs]
+        out += [BatchRotation(pairing.perm, angles.sample_tangents((), rng)).apply(x) for x in xs]
     return out
 
 

@@ -127,6 +127,13 @@ def test_rotation_solution_zeroes_marginalized_gradient():
     assert np.any(np.abs(grad_off) > 10 * stderr_off)
 
 
+@pytest.mark.parametrize("w", [np.zeros(5), np.zeros(7), np.zeros((1, 6))])
+def test_marginalized_gradient_names_a_wrong_weight_shape(w):
+    prob = RegressionProblem(np.eye(6), np.ones(6), 0.5)
+    with pytest.raises(ValueError, match="does not match the problem dimension 6"):
+        marginalized_gradient(prob, w, gaussian_tangent(0.5), 2, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("dim", [3, 5, 7])
 def test_rotation_solution_zeroes_marginalized_gradient_odd_dim(dim):
     # criterion 04 at odd D: 4000 trials; |z| < 5 on each of the D
@@ -301,6 +308,12 @@ def _two_weights(angle, dim=16):
     w[0, 0], w[0, 1] = np.cos(angle / 2), np.sin(angle / 2)
     w[1, 0], w[1, 1] = np.cos(angle / 2), -np.sin(angle / 2)
     return w
+
+
+@pytest.mark.parametrize("x", [np.ones(15), np.ones(17), np.ones((1, 16))])
+def test_flip_rate_names_an_input_of_another_width(x):
+    with pytest.raises(ValueError, match="does not match the width 16 of W"):
+        classification_flip_rate(_two_weights(0.5), x, fixed_angle(0.0), 2, np.random.default_rng(0))
 
 
 def test_flip_rate_zero_noise():

@@ -97,6 +97,13 @@ def test_train_and_report_needs_a_seed():
         train_and_report([("baseline", None)], TrainConfig(epochs=1), hidden_widths=(4,), seeds=())
 
 
+@pytest.mark.parametrize("gap_window", [0, -2])
+def test_train_and_report_needs_a_gap_window(gap_window):
+    # a window of fewer than one epoch has no gap to average
+    with pytest.raises(ValueError, match=f"gap_window must be at least 1, got {gap_window}"):
+        train_and_report([("baseline", None)], TrainConfig(epochs=1), hidden_widths=(4,), gap_window=gap_window)
+
+
 # ---------------------------------------------------------------------------
 # forward contracts
 
@@ -524,6 +531,16 @@ def test_train_needs_both_halves_of_the_validation_set(given, missing):
         train(model, x_tr, y_tr, TrainConfig(epochs=1, batch_size=8), rng, **val)
     assert rng.bit_generator.state == before
     assert held_buffers(model) == []
+
+
+def test_train_rejects_a_negative_record_every():
+    # epoch % -1 == 0 would record every epoch
+    model, (x_tr, y_tr, _, _) = overfit_setup("rotation-bn")
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="record_every must be at least 0, got -1"):
+        train(model, x_tr, y_tr, TrainConfig(epochs=1, batch_size=8), rng, record_every=-1)
+    assert rng.bit_generator.state == before
 
 
 def test_eval_results_never_alias_the_workspace():

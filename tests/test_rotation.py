@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,6 @@ from rotnoise import (
     RegressionProblem,
     ReluGaussianSource,
     RotationOut,
-    RotationRealization,
     ShiftReport,
     apply_featuremap,
     fixed_angle,
@@ -29,6 +29,7 @@ from rotnoise import (
     uniform_angle,
     uniform_angle_for_keep_rate,
 )
+from rotnoise.coadapt import _noise_moment
 from rotnoise.rotation import _BLOCK, BatchRotation, Estimate, Pairing, _estimate, _keep_rate, _strength
 
 
@@ -134,7 +135,7 @@ def test_realizations_compare_and_hash_by_identity():
     makers = [
         lambda: Pairing([0, 1, 2]),
         lambda: BatchRotation(perm=batch.perm.copy(), tangents=batch.tangents.copy()),
-        lambda: RotationRealization(pairing, np.ones((2, 1))),
+        lambda: BatchRotation(pairing.perm, np.ones(2)),
         lambda: CovStats(mean=np.zeros(3), cov=cov),
         lambda: GaussianSource(cov),
         lambda: ReluGaussianSource(cov),
@@ -164,7 +165,7 @@ def test_odd_dim_fixed_coordinate_is_uniform():
 
 def test_apply_matches_worked_example():
     pairing = Pairing([2, 1, 0, 3])
-    out = RotationRealization(pairing, 1.0).apply([1.0, 2.0, 3.0, 4.0])
+    out = BatchRotation(pairing.perm, 1.0).apply([1.0, 2.0, 3.0, 4.0])
     np.testing.assert_allclose(out, [-2.0, 6.0, 4.0, 2.0], atol=0)
 
 
@@ -172,12 +173,12 @@ def test_zero_tangent_is_identity():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(8)
     pairing = sample_pairing(8, rng)
-    np.testing.assert_array_equal(RotationRealization(pairing, 0.0).apply(x), x)
+    np.testing.assert_array_equal(BatchRotation(pairing.perm, 0.0).apply(x), x)
 
 
 def test_norm_scaling_worked_example():
     pairing = Pairing([2, 1, 0, 3])
-    out = RotationRealization(pairing, 1.0).apply([1.0, 2.0, 3.0, 4.0])
+    out = BatchRotation(pairing.perm, 1.0).apply([1.0, 2.0, 3.0, 4.0])
     assert out @ out == pytest.approx(60.0, abs=1e-12)
 
 
@@ -187,7 +188,7 @@ def test_matches_dense_oracle(dim):
     for _ in range(100):
         pairing = sample_pairing(dim, rng)
         theta = rng.uniform(-1.2, 1.2)
-        real = RotationRealization(pairing, np.tan(theta))
+        real = BatchRotation(pairing.perm, np.tan(theta))
         x = rng.standard_normal(dim)
         mat = dense_oracle(pairing, theta)
         assert np.abs(real.apply(x) - mat @ x).max() < 1e-12
@@ -198,7 +199,7 @@ def test_transpose_worked_example():
     # value fixed by the dense oracle's transpose; the adjoint identity
     # <Rx, g> = <x, R^T g> pins the sign of the third entry
     pairing = Pairing([2, 1, 0, 3])
-    real = RotationRealization(pairing, 1.0)
+    real = BatchRotation(pairing.perm, 1.0)
     out = real.apply_transpose([1.0, 0.0, 0.0, 0.0])
     oracle = dense_oracle(pairing, np.pi / 4).T @ np.array([1.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(out, oracle, atol=1e-12)
@@ -209,7 +210,7 @@ def test_transpose_zero_tangent_is_identity():
     rng = np.random.default_rng(3)
     g = rng.standard_normal(6)
     pairing = sample_pairing(6, rng)
-    np.testing.assert_array_equal(RotationRealization(pairing, 0.0).apply_transpose(g), g)
+    np.testing.assert_array_equal(BatchRotation(pairing.perm, 0.0).apply_transpose(g), g)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 7, 16])
@@ -217,7 +218,7 @@ def test_adjoint_identity_random(dim):
     rng = np.random.default_rng(4)
     for _ in range(50):
         pairing = sample_pairing(dim, rng)
-        real = RotationRealization(pairing, float(rng.standard_normal()))
+        real = BatchRotation(pairing.perm, float(rng.standard_normal()))
         x = rng.standard_normal(dim)
         g = rng.standard_normal(dim)
         lhs = real.apply(x) @ g
@@ -231,7 +232,7 @@ def test_transpose_roundtrip_recovers_input():
         x = rng.standard_normal(dim)
         pairing = sample_pairing(dim, rng)
         t = float(rng.standard_normal())
-        real = RotationRealization(pairing, t)
+        real = BatchRotation(pairing.perm, t)
         back = real.apply_transpose(real.apply(x))
         if pairing.fixed is None:
             np.testing.assert_allclose(back / (1 + t * t), x, atol=1e-12)
@@ -243,7 +244,7 @@ def test_transpose_roundtrip_recovers_input():
 
 def test_dimension_mismatch_errors():
     pairing = Pairing([0, 1, 2, 3])
-    real = RotationRealization(pairing, 0.3)
+    real = BatchRotation(pairing.perm, 0.3)
     with pytest.raises(ValueError, match="dimension"):
         real.apply(np.zeros(5))
     with pytest.raises(ValueError, match="dimension"):
@@ -260,7 +261,7 @@ def test_angle_between_input_and_output_is_theta():
         for _ in range(20):
             x = rng.standard_normal(dim)
             theta = rng.uniform(-1.3, 1.3)
-            real = RotationRealization(sample_pairing(dim, rng), np.tan(theta))
+            real = BatchRotation(sample_pairing(dim, rng).perm, np.tan(theta))
             y = real.apply(x)
             cos = x @ y / (np.linalg.norm(x) * np.linalg.norm(y))
             assert abs(cos - np.cos(theta)) < 1e-10
@@ -271,7 +272,7 @@ def test_norm_scaling_exact_even_dim():
     for _ in range(20):
         x = rng.standard_normal(10)
         t = float(rng.standard_normal())
-        y = RotationRealization(sample_pairing(10, rng), t).apply(x)
+        y = BatchRotation(sample_pairing(10, rng).perm, t).apply(x)
         assert y @ y == pytest.approx((x @ x) * (1 + t * t), rel=1e-12)
 
 
@@ -279,7 +280,7 @@ def test_odd_dim_fixed_coordinate_passes_through():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(7)
     pairing = sample_pairing(7, rng)
-    y = RotationRealization(pairing, 0.8).apply(x)
+    y = BatchRotation(pairing.perm, 0.8).apply(x)
     assert y[pairing.fixed] == x[pairing.fixed]
 
 
@@ -288,7 +289,7 @@ def test_pair_law():
     x = rng.standard_normal(6)
     pairing = sample_pairing(6, rng)
     t = 0.37
-    y = RotationRealization(pairing, t).apply(x)
+    y = BatchRotation(pairing.perm, t).apply(x)
     for i, j in pairing.pairs:
         assert y[i] == x[i] + t * x[j]
         assert y[j] == x[j] - t * x[i]
@@ -303,7 +304,7 @@ def test_batch_rotation_rows_match_single_realizations(dim):
     fwd = batch.apply(x)
     bwd = batch.apply_transpose(x)
     for r in range(9):
-        real = RotationRealization(Pairing(batch.perm[r]), batch.tangents[r])
+        real = BatchRotation(batch.perm[r], batch.tangents[r])
         np.testing.assert_array_equal(fwd[r], real.apply(x[r]))
         np.testing.assert_array_equal(bwd[r], real.apply_transpose(x[r]))
 
@@ -519,6 +520,27 @@ def test_featuremap_degenerate_map_matches_centered_rows():
         np.testing.assert_allclose(np.abs(fm - base), np.abs(ct - base), atol=1e-12)
 
 
+@pytest.mark.parametrize("channels, angles", [(6, gaussian_tangent(0.5)), (5, uniform_angle(0.9))])
+def test_featuremap_positions_follow_the_rotation_noise_law(channels, angles):
+    # one fixed (2, C, 2, 3) map through 7,000 seeded calls; at each of the
+    # 12 positions, with c = x minus its channel mean, y - x has mean 0 and
+    # second moment _noise_moment(c c^T, "rotation", E tan^2).  |z| < 5.5 on
+    # the 12 C means and 12 C (C + 1) / 2 distinct moments (564 over both
+    # cases) fails by chance with family-wise probability 2.1e-5
+    rng = np.random.default_rng(32 + channels)
+    x = np.random.default_rng(channels).standard_normal((2, channels, 2, 3))
+    n = 7_000
+    delta = np.stack([apply_featuremap(x, angles, rng) - x for _ in range(n)])
+    delta = np.moveaxis(delta, 2, -1).reshape(n, -1, channels)
+    c = np.moveaxis(x - x.mean(axis=(0, 2, 3), keepdims=True), 1, -1).reshape(-1, channels)
+    mean, stderr = _estimate(delta, axis=0)
+    assert np.all(np.abs(mean) < 5.5 * stderr)
+    moment, stderr = _estimate(delta[..., :, None] * delta[..., None, :], axis=0)
+    lam = second_moment_of_tangent(angles)
+    expected = np.stack([_noise_moment(np.outer(row, row), "rotation", lam) for row in c])
+    assert np.all(np.abs(moment - expected) < 5.5 * stderr)
+
+
 def test_featuremap_block_only_rotates_inside():
     rng = np.random.default_rng(21)
     x = np.random.default_rng(1).standard_normal((1, 6, 8, 8))
@@ -587,7 +609,7 @@ def test_batch_rotation_matches_reference_shuffle(dim, layout, size, data):
 def test_shared_pairing_matches_reference_shuffle(dim, layout, size, data, tangent):
     x, rng = kernel_input(data, dim, layout, size)
     pairing = sample_pairing(dim, rng)
-    real = RotationRealization(pairing, tangent)
+    real = BatchRotation(pairing.perm, tangent)
     i, j = pairing.pairs[:, 0], pairing.pairs[:, 1]
     for rows in (x, x[0]):
         assert_same_bits(real.apply(rows), rotate_reference(rows, i, j, tangent))
@@ -653,7 +675,7 @@ def test_unpaired_coordinate_adds_a_signed_zero(dim):
     assert not np.signbit(out[np.arange(4), batch.perm[:, -1]]).any()
     assert_same_bits(out, rotate_reference(x, *planes(batch.perm), batch.tangents[:, None]))
     pairing = sample_pairing(dim, rng)
-    y = RotationRealization(pairing, 0.5).apply(x[0])
+    y = BatchRotation(pairing.perm, 0.5).apply(x[0])
     assert not np.signbit(y[pairing.fixed])
 
 
@@ -663,6 +685,42 @@ def test_batch_rotation_rejects_a_batch_of_another_size():
         batch.apply(np.zeros((5, 4)))
     with pytest.raises(ValueError, match="dimension"):
         batch.apply(np.zeros((6, 3)))
+
+
+@pytest.mark.parametrize(
+    "perm, match",
+    [
+        ([0, 1, 1, 3], "every coordinate"),
+        ([0.0, 1.0, 2.0], "every coordinate"),
+        ([0], "below dimension 2"),
+        (np.zeros((2, 3, 4), dtype=np.intp), "every coordinate"),
+    ],
+)
+def test_batch_rotation_checks_a_shared_perm_as_a_pairing(perm, match):
+    with pytest.raises(ValueError, match=match):
+        BatchRotation(perm, 0.5)
+
+
+@pytest.mark.parametrize("tangents", [np.zeros(3), np.zeros(5), np.zeros((4, 1))])
+def test_batch_rotation_names_tangents_of_another_row_count(tangents):
+    perm = sample_batch_rotation(4, 6, gaussian_tangent(0.5), np.random.default_rng(30)).perm
+    shapes = rf"tangents of shape {re.escape(str(tangents.shape))}.*perm of shape \(4, 6\)"
+    with pytest.raises(ValueError, match=shapes):
+        BatchRotation(perm, tangents)
+
+
+def test_batch_rotation_takes_a_scalar_tangent_and_keeps_its_perm():
+    rng = np.random.default_rng(31)
+    batch = sample_batch_rotation(4, 6, gaussian_tangent(0.5), rng)
+    # a per-row perm is used as given, not copied
+    shared_tangent = BatchRotation(batch.perm, 0.5)
+    assert shared_tangent.perm is batch.perm
+    x = rng.standard_normal((4, 6))
+    expected = BatchRotation(batch.perm, np.full(4, 0.5)).apply(x)
+    assert_same_bits(shared_tangent.apply(x), expected)
+    # a shared perm is stored as its pairing's read-only permutation
+    shared = BatchRotation([2, 1, 0, 3], 1.0)
+    assert shared.perm.dtype == np.intp and not shared.perm.flags.writeable
 
 
 @pytest.mark.parametrize("dim", [3, 8, 256])
