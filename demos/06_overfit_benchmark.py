@@ -10,15 +10,14 @@ protocol lives in the acceptance suite.
 from rotnoise import NoiseOpSpec, TrainConfig, train_and_report
 
 spec = NoiseOpSpec("rotation", 0.8, centered=True)
-config = TrainConfig(epochs=80, n_train=200, n_val=2000, batch_size=32, seed=0)
+config = TrainConfig(epochs=80, gap_window=10, n_train=200, n_val=2000, batch_size=32, seed=0)
 
 rows, summary = train_and_report(
     [("baseline", None), ("rotation", spec)],
     config,
     hidden_widths=(128, 128),
     seeds=(0, 1, 2),
-    record_every=1,
-    gap_window=10,
+    record_every=0,
 )
 
 print("per-seed generalization gaps (train acc - validation acc):")

@@ -151,7 +151,7 @@ _SCHEMAS: dict[str, dict] = {
         "keep_rate": (float, 0.8, "equivalent keep rate of the rotation op"),
         "width": (int, 256, "hidden width"),
         "n_train": (int, 200, "training set size", 2),
-        "record_every": (int, 1, "record accuracy every k epochs (0: final only)", 0),
+        "record_every": (int, 1, "record accuracy every k epochs (0: the gap window only)", 0),
         "gap_window": (int, 10, "epochs averaged into the reported gap", 1),
     },
 }
@@ -368,7 +368,8 @@ def _run_noise_budget(merged: dict, rng: np.random.Generator):
 
 def _run_train_demo(merged: dict, rng: np.random.Generator):
     config = TrainConfig(
-        epochs=merged["epochs"], seed=merged["seed"], n_train=merged["n_train"]
+        epochs=merged["epochs"], gap_window=merged["gap_window"],
+        seed=merged["seed"], n_train=merged["n_train"],
     )
     spec = NoiseOpSpec("rotation", merged["keep_rate"], centered=True)
     rows, summary = train_and_report(
@@ -377,7 +378,6 @@ def _run_train_demo(merged: dict, rng: np.random.Generator):
         hidden_widths=(merged["width"], merged["width"]),
         seeds=tuple(range(merged["seeds"])),
         record_every=merged["record_every"],
-        gap_window=merged["gap_window"],
     )
     for label, stats in summary.items():
         print(f"{label}: gap {stats['gap_mean']:.4f} +- {stats['gap_sd']:.4f}")

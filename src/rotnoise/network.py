@@ -87,6 +87,7 @@ class LayerSpec:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 150
+    gap_window: int = 1  # the last epochs, which train evaluates and train_and_report averages
     batch_size: int = 32
     learning_rate: float = 0.05
     momentum: float = 0.9
@@ -100,6 +101,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.gap_window < 1:
+            raise ValueError(f"gap_window must be at least 1, got {self.gap_window}")
         if self.batch_size < 2:
             raise ValueError("batch size must be at least 2 for batch statistics")
 
@@ -407,8 +410,8 @@ def train(
     The matrix products run on numpy's BLAS thread pool, so the thread
     count follows the BLAS settings (e.g. ``OPENBLAS_NUM_THREADS``).
 
-    Returns a list of (epoch, train_acc, val_acc) rows; by default only the
-    final epoch is recorded, ``record_every`` adds intermediate rows.
+    Returns (epoch, train_acc, val_acc) rows for the last ``config.gap_window``
+    epochs (by default the final one) and every ``record_every``-th epoch.
     """
     if (x_val is None) != (y_val is None):
         missing = "x_val" if x_val is None else "y_val"
@@ -437,8 +440,7 @@ def train(
                     # g * lr rounds exactly as lr * g
                     v -= np.multiply(g, config.learning_rate, out=g)
                     p += v
-            final = epoch == config.epochs
-            if final or (record_every and epoch % record_every == 0):
+            if epoch > config.epochs - config.gap_window or (record_every and epoch % record_every == 0):
                 train_acc = _accuracy(model, x_train, y_train)
                 val_acc = _accuracy(model, x_val, y_val) if x_val is not None else float("nan")
                 history.append((epoch, train_acc, val_acc))
@@ -451,22 +453,20 @@ def train_and_report(
     hidden_widths: tuple[int, ...] = (256, 256),
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
     record_every: int = 0,
-    gap_window: int = 1,
 ):
     """Run the overfitting benchmark over a regularizer grid and paired seeds.
 
     Every regularizer sees the same dataset, initialization and batch order
     for a given seed, so per-seed gap comparisons are paired.  The reported
     generalization gap averages train - validation accuracy over the last
-    ``gap_window`` recorded epochs, which damps the epoch-to-epoch noise of
-    a single late evaluation.  Returns per-epoch rows (regularizer,
-    strength, seed, epoch, train_acc, val_acc) plus a summary dict per
-    regularizer with gap mean and standard deviation across seeds.
+    ``config.gap_window`` epochs, which ``train`` evaluates for every
+    ``record_every``; the window damps the epoch-to-epoch noise of a single
+    late evaluation.  Returns per-epoch rows (regularizer, strength, seed,
+    epoch, train_acc, val_acc) plus a summary dict per regularizer with gap
+    mean and standard deviation across seeds.
     """
     if not seeds:
         raise ValueError("train_and_report needs at least one seed")
-    if gap_window < 1:
-        raise ValueError(f"gap_window must be at least 1, got {gap_window}")
     rows = []
     gaps: dict[str, list[float]] = {label: [] for label, _ in regularizers}
     for label, spec in regularizers:
@@ -491,7 +491,7 @@ def train_and_report(
             strength = spec.strength if spec is not None else 0.0
             for epoch, tr, va in history:
                 rows.append((label, strength, seed, epoch, tr, va))
-            tail = history[-gap_window:]
+            tail = history[-config.gap_window:]
             gaps[label].append(float(np.mean([tr - va for _, tr, va in tail])))
     summary = {
         label: {

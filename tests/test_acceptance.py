@@ -246,15 +246,14 @@ def test_criterion_10_regularization_reduces_overfitting_gap():
         spec = NoiseOpSpec("rotation", 0.8, centered=True)
         config = TrainConfig(
             epochs=150, n_train=200, n_val=4000, batch_size=32,
-            learning_rate=0.05, class_separation=2.0, seed=0,
+            learning_rate=0.05, class_separation=2.0, seed=0, gap_window=10,
         )
         _, summary = train_and_report(
             [("baseline", None), ("rotation", spec)],
             config,
             hidden_widths=(256, 256),
             seeds=(0, 1, 2, 3, 4),
-            record_every=1,
-            gap_window=10,
+            record_every=0,
         )
         base = np.array(summary["baseline"]["gaps"])
         rot = np.array(summary["rotation"]["gaps"])

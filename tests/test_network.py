@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -84,6 +85,10 @@ def test_layer_spec_validation():
 def test_train_config_validation():
     with pytest.raises(ValueError, match="batch size"):
         TrainConfig(batch_size=1)
+    # a window of fewer than one epoch has no gap to average
+    for gap_window in (0, -2):
+        with pytest.raises(ValueError, match=f"gap_window must be at least 1, got {gap_window}"):
+            TrainConfig(gap_window=gap_window)
 
 
 @pytest.mark.parametrize("epochs", [0, -1])
@@ -95,13 +100,6 @@ def test_train_config_needs_an_epoch(epochs):
 def test_train_and_report_needs_a_seed():
     with pytest.raises(ValueError, match="at least one seed"):
         train_and_report([("baseline", None)], TrainConfig(epochs=1), hidden_widths=(4,), seeds=())
-
-
-@pytest.mark.parametrize("gap_window", [0, -2])
-def test_train_and_report_needs_a_gap_window(gap_window):
-    # a window of fewer than one epoch has no gap to average
-    with pytest.raises(ValueError, match=f"gap_window must be at least 1, got {gap_window}"):
-        train_and_report([("baseline", None)], TrainConfig(epochs=1), hidden_widths=(4,), gap_window=gap_window)
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +383,34 @@ def test_train_and_report_emits_rows_and_summary():
     assert set(summary) == {"baseline", "rotation"}
     for stats in summary.values():
         assert len(stats["gaps"]) == 2
+
+
+@pytest.mark.parametrize("record_every, epochs, recorded", [(0, 7, [5, 6, 7]), (4, 11, [4, 8, 9, 10, 11])])
+def test_train_records_every_kth_epoch_and_the_gap_window(record_every, epochs, recorded):
+    model, data = overfit_setup("rotation")
+    config = TrainConfig(epochs=epochs, gap_window=3, batch_size=8)
+    history = train(model, *data[:2], config, np.random.default_rng(3), *data[2:], record_every=record_every)
+    assert [row[0] for row in history] == recorded
+
+
+@pytest.mark.parametrize("gap_window", [1, 3])
+def test_gap_averages_the_last_epochs_of_an_every_epoch_run(gap_window):
+    # the eval draws no random number and writes no parameter, so a run that
+    # evaluates only the window reaches the same accuracies as one that
+    # evaluates every epoch
+    regularizers = [("baseline", None), ("rotation", ROTATION)]
+    config = TrainConfig(epochs=6, n_train=30, n_val=60, batch_size=8)
+    kwargs = dict(hidden_widths=(8,), seeds=(0, 1))
+    rows, _ = train_and_report(regularizers, config, record_every=1, **kwargs)
+    windowed = replace(config, gap_window=gap_window)
+    _, summary = train_and_report(regularizers, windowed, record_every=0, **kwargs)
+    for label, _ in regularizers:
+        expected = [
+            float(np.mean([tr - va for lab, _, s, epoch, tr, va in rows
+                           if lab == label and s == seed and epoch > config.epochs - gap_window]))
+            for seed in kwargs["seeds"]
+        ]
+        assert summary[label]["gaps"] == expected
 
 
 # ---------------------------------------------------------------------------
