@@ -17,7 +17,7 @@ import numpy as np
 
 from .coadapt import CovStats
 from .noise_ops import NoiseOpSpec, make_noise_op
-from .rotation import Estimate, _check_budget, _estimate, _strength
+from .rotation import Estimate, _check_budget, _estimate, _finite, _strength
 
 __all__ = [
     "BatchNormState",
@@ -126,7 +126,7 @@ def bn_train_forward(x, state: BatchNormState) -> np.ndarray:
     updated with the B/(B-1) debiased value through an exponential moving
     average of the configured momentum.
     """
-    return _train_normalize(np.asarray(x, dtype=np.float64), state, update=True)[0]
+    return _train_normalize(_finite("x", x), state, update=True)[0]
 
 
 def bn_test_forward(x, state: BatchNormState, correction=None) -> np.ndarray:
@@ -142,7 +142,7 @@ def bn_test_forward(x, state: BatchNormState, correction=None) -> np.ndarray:
 
     The input is never written to.
     """
-    return _eval_normalize(np.asarray(x, dtype=np.float64), state, correction)
+    return _eval_normalize(_finite("x", x), state, correction)
 
 
 def cross_normalize(x, gamma, beta, eps: float = 1e-5, normalizer: str = "b-1") -> np.ndarray:
@@ -153,7 +153,7 @@ def cross_normalize(x, gamma, beta, eps: float = 1e-5, normalizer: str = "b-1") 
     ``normalizer`` selects the divisor of the leave-one-out sums: "b-1"
     (the count of the remaining elements, default) or "b" (batch size).
     """
-    return _cross_normalize_rows(np.asarray(x, dtype=np.float64), gamma, beta, eps, normalizer, None)
+    return _cross_normalize_rows(_finite("x", x), gamma, beta, eps, normalizer, None)
 
 
 def _cross_normalize_rows(x, gamma, beta, eps: float, normalizer: str, rows: int | None) -> np.ndarray:

@@ -46,6 +46,7 @@ import numpy as np
 
 from .batchnorm import BatchNormState, _eval_normalize, _train_normalize
 from .noise_ops import NoiseOpSpec, make_noise_op
+from .rotation import _finite
 
 __all__ = [
     "LayerSpec",
@@ -254,7 +255,7 @@ class Network:
         Only a leading noise layer sees the caller's ``x``, and it hands it
         to a dense layer, which does not write in place.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = _finite("x", x)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"input must have shape (n, {self.input_dim})")
         if mode not in ("train", "eval"):
@@ -418,6 +419,9 @@ def train(
         raise ValueError(f"validation needs both x_val and y_val; {missing} is missing")
     if record_every < 0:
         raise ValueError(f"record_every must be at least 0, got {record_every}")
+    _finite("x_train", x_train)
+    if x_val is not None:
+        _finite("x_val", x_val)
     params = model.params()
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     n = x_train.shape[0]

@@ -15,6 +15,7 @@ import numpy as np
 
 from .rotation import (
     AngleDistribution,
+    _finite,
     _keep_rate,
     _strength,
     fixed_angle,
@@ -53,7 +54,7 @@ class NoiseOp:
         raise NotImplementedError
 
     def __call__(self, x, rng: np.random.Generator | None = None, mode: str = "train") -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = _finite("x", x)
         if mode == "eval":
             return x
         if mode != "train":

@@ -159,6 +159,15 @@ def _check_budget(name: str, value: int, least: int = 2) -> None:
         raise ValueError(f"Monte-Carlo budget {name} must be at least {least}, got {value}")
 
 
+def _finite(name: str, x) -> np.ndarray:
+    """``x`` as a float64 array, or a ValueError naming ``name`` if it holds NaN or inf."""
+    x = np.asarray(x, dtype=np.float64)
+    # min and max both propagate NaN, and neither allocates an array of x's size
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        raise ValueError(f"{name} must be finite; it holds NaN or inf")
+    return x
+
+
 class Estimate(NamedTuple):
     """A Monte-Carlo estimate and its standard error; unpacks as a pair."""
 
@@ -273,17 +282,17 @@ def rotation_matrix(pairing: Pairing, theta: float) -> np.ndarray:
 _BLOCK = 1 << 15  # elements per kernel block: every temporary of a block stays in L2
 
 
-def _rotate(x, perm: np.ndarray, tangent, base=None) -> np.ndarray:
-    """base + tangent * s along the last axis, s the signed pair shuffle of x.
+def _rotate(x, perm: np.ndarray, tangents, base=None) -> np.ndarray:
+    """base + t * s along the last axis, s the signed pair shuffle of x.
 
     ``perm`` is one (D,) permutation shared by every row of ``x`` or an
     (n, D) array holding one permutation per row of an (n, D) ``x``; with
     i = perm[:D // 2] and j = perm[D // 2 : 2 * (D // 2)], s[i] = x[j] and
     s[j] = -x[i].  The unpaired coordinate of odd D gets s = 0 and still
     computes base + t * 0, so a -0.0 there rounds as everywhere else.
-    ``tangent`` is a scalar or broadcasts against ``x.shape[:-1] + (1,)``,
-    and ``base`` defaults to ``x``.  A transpose passes -t, as
-    g + (-t) * s == g - t * s exactly.
+    ``tangents`` is a scalar or broadcasts against ``x.shape[:-1]``, one
+    value per vector, and ``base`` defaults to ``x``.  A transpose passes
+    -t, as g + (-t) * s == g - t * s exactly.
     """
     x = np.asarray(x, dtype=np.float64)
     dim = perm.shape[-1]
@@ -292,9 +301,13 @@ def _rotate(x, perm: np.ndarray, tangent, base=None) -> np.ndarray:
     if perm.ndim == 2 and x.shape != perm.shape:
         raise ValueError(f"batch of shape {x.shape} does not match {perm.shape[0]} row rotations")
     shape = x.shape
+    tangents = np.asarray(tangents, dtype=np.float64)
+    try:
+        t = np.broadcast_to(tangents, shape[:-1]).reshape(-1)
+    except ValueError:
+        raise ValueError(f"tangents of shape {tangents.shape} do not fit a batch of shape {shape}") from None
     x = x.reshape(-1, dim)
     base = x if base is None else np.asarray(base, dtype=np.float64).reshape(-1, dim)
-    t = np.broadcast_to(np.asarray(tangent, dtype=np.float64), shape[:-1] + (1,)).reshape(-1)
     n, d = x.shape[0], dim // 2
     rows = max(1, _BLOCK // dim)
     offsets = np.arange(0, min(rows, n) * dim, dim)
@@ -352,12 +365,12 @@ class BatchRotation:
 
     def apply(self, x) -> np.ndarray:
         """Apply the rotation along the last axis of ``x`` in O(D)."""
-        return _rotate(x, self.perm, self.tangents[..., None])
+        return _rotate(x, self.perm, self.tangents)
 
     def apply_transpose(self, g) -> np.ndarray:
         """Apply the transpose (backward pass): the same pairing with the
         tangent negated, so <R x, g> == <x, R^T g> holds for all x, g."""
-        return _rotate(g, self.perm, -self.tangents[..., None])
+        return _rotate(g, self.perm, -self.tangents)
 
 
 def sample_batch_rotation(
@@ -471,6 +484,6 @@ def apply_featuremap(
 
     # channels moved last for the kernel, then back: x + t * s(x - mean)
     last = np.ascontiguousarray(np.moveaxis(x, 1, -1))
-    out = _rotate(last - x.mean(axis=(0, 2, 3)), pairing.perm, t[..., None], base=last)
+    out = _rotate(last - x.mean(axis=(0, 2, 3)), pairing.perm, t, base=last)
     out = np.ascontiguousarray(np.moveaxis(out, -1, 1))
     return out if batched else out[0]

@@ -91,6 +91,24 @@ def test_train_forward_rejects_single_row():
         bn_train_forward(np.ones((1, 2)), state)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalizations_name_non_finite_input(bad):
+    x = np.ones((4, 3))
+    x[2, 1] = bad
+    state = BatchNormState.initial(3)
+    trained = BatchNormState.initial(3)
+    bn_train_forward(np.eye(3), trained)
+    calls = [
+        lambda: bn_train_forward(x, state),
+        lambda: bn_test_forward(x, trained),
+        lambda: cross_normalize(x, np.ones(3), np.zeros(3)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="x must be finite"):
+            call()
+    assert state.n_batches == 0
+
+
 def test_running_statistics_update():
     state = BatchNormState.initial(1, momentum=0.5)
     x = np.array([[0.0], [2.0]])  # mean 1, biased var 1, debiased var 2

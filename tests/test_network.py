@@ -139,6 +139,16 @@ def test_width_mismatch_rejected():
         model.forward(np.ones((4, 7)), mode="eval")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_names_non_finite_input(bad):
+    model = small_model(noise=ROTATION)
+    x, _ = small_batch()
+    x[3, 2] = bad
+    for mode in ("train", "eval"):
+        with pytest.raises(ValueError, match="x must be finite"):
+            model.forward(x, mode=mode, rng=np.random.default_rng(8))
+
+
 def reference_eval(model, x):
     """The eval pass written out of place, one fresh array per operation."""
     h = np.asarray(x, dtype=np.float64)
@@ -567,6 +577,22 @@ def test_train_rejects_a_negative_record_every():
     with pytest.raises(ValueError, match="record_every must be at least 0, got -1"):
         train(model, x_tr, y_tr, TrainConfig(epochs=1, batch_size=8), rng, record_every=-1)
     assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("name", ["x_train", "x_val"])
+def test_train_names_non_finite_input(name):
+    model, (x_tr, y_tr, x_va, y_va) = overfit_setup("rotation-bn")
+    data = {"x_train": x_tr.copy(), "x_val": x_va.copy()}
+    data[name][5, 1] = np.nan
+    params = {k: v.copy() for k, v in model.params().items()}
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        train(model, data["x_train"], y_tr, TrainConfig(epochs=1, batch_size=8), rng, data["x_val"], y_va)
+    # nothing trained: the check runs before the first step
+    assert rng.bit_generator.state == before
+    for k, v in model.params().items():
+        np.testing.assert_array_equal(v, params[k])
 
 
 def test_eval_results_never_alias_the_workspace():

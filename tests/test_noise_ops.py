@@ -186,6 +186,34 @@ def test_train_mode_requires_rng(any_op):
         any_op(np.ones(4))
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_named(any_op, bad, mode):
+    x = np.ones((4, 8))
+    x[1, 3] = bad
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    for op in (any_op, Centered(any_op)):
+        with pytest.raises(ValueError, match="x must be finite"):
+            op(x, rng, mode=mode)
+    assert rng.bit_generator.state == before
+
+
+def test_empty_input_stays_legal(any_op):
+    x = np.zeros((0, 8))
+    for mode in ("train", "eval"):
+        assert any_op(x, np.random.default_rng(12), mode=mode).shape == (0, 8)
+
+
+def test_rotation_keeps_a_zero_row_exactly_zero():
+    # a rotation of 0 is 0, however large the angle
+    x = np.random.default_rng(13).standard_normal((4, 8))
+    x[2] = 0.0
+    out = RotationOut(gaussian_tangent(2.0))(x, np.random.default_rng(14))
+    assert np.all(out[2] == 0.0)
+    assert np.all(out[[0, 1, 3]] != x[[0, 1, 3]])
+
+
 # ---------------------------------------------------------------------------
 # centered wrapper
 
@@ -193,8 +221,8 @@ def test_train_mode_requires_rng(any_op):
 def test_centered_constant_batch_is_identity():
     rng = np.random.default_rng(9)
     x = np.tile(np.arange(6.0), (8, 1))
-    for op in (BernoulliDropout(0.5), GaussianDropout(0.5), Uout(1.0)):
-        np.testing.assert_allclose(Centered(op)(x, rng), x, atol=0)
+    for op in (BernoulliDropout(0.5), GaussianDropout(0.5), Uout(1.0), RotationOut(gaussian_tangent(2.0))):
+        np.testing.assert_array_equal(Centered(op)(x, rng), x)
 
 
 def test_centered_requires_batch():

@@ -520,13 +520,26 @@ def test_featuremap_degenerate_map_matches_centered_rows():
         np.testing.assert_allclose(np.abs(fm - base), np.abs(ct - base), atol=1e-12)
 
 
+def mean_abs_tangent(angles):
+    """E|tan theta| of the one-sided angles ``sample_magnitudes`` draws."""
+    if angles.kind == "gaussian-tangent":
+        return angles.parameter * np.sqrt(2 / np.pi)
+    # theta ~ Unif(0, T): the mean of tan over [0, T]
+    return -np.log(np.cos(angles.parameter)) / angles.parameter
+
+
 @pytest.mark.parametrize("channels, angles", [(6, gaussian_tangent(0.5)), (5, uniform_angle(0.9))])
 def test_featuremap_positions_follow_the_rotation_noise_law(channels, angles):
     # one fixed (2, C, 2, 3) map through 7,000 seeded calls; at each of the
     # 12 positions, with c = x minus its channel mean, y - x has mean 0 and
-    # second moment _noise_moment(c c^T, "rotation", E tan^2).  |z| < 5.5 on
-    # the 12 C means and 12 C (C + 1) / 2 distinct moments (564 over both
-    # cases) fails by chance with family-wise probability 2.1e-5
+    # second moment _noise_moment(c c^T, "rotation", E tan^2).  Two positions
+    # p != q share the pairing but draw independent one-sided angles, so only
+    # the same coordinate and the pair partner contribute:
+    # E[(y_p - x_p)(y_q - x_q)^T] = _noise_moment(c_q c_p^T, "rotation",
+    # (E|tan|)^2), checked between position 0 and the 11 others (5 in its
+    # own sample, 6 in the other).  |z| < 5.5 on the 12 C means, 12 C (C + 1)
+    # / 2 distinct moments and 11 C^2 cross moments (1,235 over both cases)
+    # fails by chance with family-wise probability 4.7e-5
     rng = np.random.default_rng(32 + channels)
     x = np.random.default_rng(channels).standard_normal((2, channels, 2, 3))
     n = 7_000
@@ -539,6 +552,10 @@ def test_featuremap_positions_follow_the_rotation_noise_law(channels, angles):
     lam = second_moment_of_tangent(angles)
     expected = np.stack([_noise_moment(np.outer(row, row), "rotation", lam) for row in c])
     assert np.all(np.abs(moment - expected) < 5.5 * stderr)
+    cross, stderr = _estimate(delta[:, :1, :, None] * delta[:, 1:, None, :], axis=0)
+    lam = mean_abs_tangent(angles) ** 2
+    expected = np.stack([_noise_moment(np.outer(row, c[0]), "rotation", lam) for row in c[1:]])
+    assert np.all(np.abs(cross - expected) < 5.5 * stderr)
 
 
 def test_featuremap_block_only_rotates_inside():
@@ -707,6 +724,16 @@ def test_batch_rotation_names_tangents_of_another_row_count(tangents):
     shapes = rf"tangents of shape {re.escape(str(tangents.shape))}.*perm of shape \(4, 6\)"
     with pytest.raises(ValueError, match=shapes):
         BatchRotation(perm, tangents)
+
+
+@pytest.mark.parametrize("tangents", [np.ones((5, 1)), np.ones(3)])
+def test_shared_pairing_names_tangents_that_do_not_fit_the_batch(tangents):
+    # the old (n, 1) tangent column, and a count of tangents that is not the row count
+    rotation = BatchRotation(sample_pairing(4, np.random.default_rng(33)).perm, tangents)
+    shapes = rf"tangents of shape {re.escape(str(tangents.shape))}.*batch of shape \(5, 4\)"
+    for apply in (rotation.apply, rotation.apply_transpose):
+        with pytest.raises(ValueError, match=shapes):
+            apply(np.zeros((5, 4)))
 
 
 def test_batch_rotation_takes_a_scalar_tangent_and_keeps_its_perm():
