@@ -152,8 +152,20 @@ def cross_normalize(x, gamma, beta, eps: float = 1e-5, normalizer: str = "b-1") 
     itself, which makes the expected output exactly affine in the input.
     ``normalizer`` selects the divisor of the leave-one-out sums: "b-1"
     (the count of the remaining elements, default) or "b" (batch size).
+    ``eps`` must be finite and non-negative; at ``eps = 0`` every element's
+    leave-one-out variance must be positive, so no column may hold b - 1
+    equal values.
     """
-    return _cross_normalize_rows(_finite("x", x), gamma, beta, eps, normalizer, None)
+    x = _finite("x", x)
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be non-negative and finite, got {eps}")
+    if eps == 0 and x.ndim == 2 and len(x) >= 3:
+        s = np.sort(x, axis=0)
+        if np.any((s[0] == s[-2]) | (s[1] == s[-1])):
+            raise ValueError(
+                "eps = 0 needs a nonzero leave-one-out variance, but a column holds b - 1 equal values"
+            )
+    return _cross_normalize_rows(x, gamma, beta, eps, normalizer, None)
 
 
 def _cross_normalize_rows(x, gamma, beta, eps: float, normalizer: str, rows: int | None) -> np.ndarray:

@@ -9,7 +9,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from mc_utils import conditional_cov_mc
+from mc_utils import assert_within_stderr, conditional_cov_mc, first_element_variance
+from test_batchnorm import loo_statistic_direct, train_statistic
 from test_network import assert_grads_close, finite_difference_grads
 from test_rotation import dense_oracle
 
@@ -98,8 +99,9 @@ def test_criterion_02_conditional_covariance_closed_forms():
             ):
                 mean, stderr = conditional_cov_mc(op, x, n, rng)
                 closed = conditional_noise_covariance(x, method, p)
-                gap = np.abs(mean - closed)
-                assert np.all(gap < 4 * np.maximum(stderr, 1e-12)), (method, dim)
+                distinct = dim * (dim + 1) // 2  # entries of a symmetric matrix
+                stderr = np.maximum(stderr, 1e-12)
+                assert_within_stderr(mean, closed, stderr, 4, distinct, label=f"{method}, D={dim}")
 
 
 def test_criterion_03_coadaptation_reduction_factors():
@@ -127,7 +129,7 @@ def test_criterion_04_regression_marginalization_and_conditioning():
             grad, stderr = marginalized_gradient(
                 prob, w, gaussian_tangent(np.sqrt(lam)), n_trials=1000, rng=rng
             )
-            assert np.all(np.abs(grad) < 4 * stderr), f"problem {k}"
+            assert_within_stderr(grad, 0.0, stderr, 4, label=f"problem {k}")
             kr, _ = condition_numbers(RegressionProblem(x, y, 1.0))
             assert kr <= dim - 1 + 1e-9
 
@@ -174,28 +176,15 @@ def test_criterion_07_small_batch_normalization():
         for b in (2, 4, 8, 32):
             for _ in range(200):
                 batch = rng.standard_normal(b)
-                mu = batch.mean()
-                sigma = np.sqrt(np.mean((batch - mu) ** 2))
-                lhs = (batch[0] - mu) / sigma
-                rest = batch[1:]
-                m = rest.mean()
-                s2 = np.mean((rest - m) ** 2)
-                d = batch[0] - m
-                rhs = np.sqrt((b - 1) / b) * d / np.sqrt(s2 + d * d / b)
-                assert abs(lhs - rhs) < 1e-12
+                assert abs(loo_statistic_direct(batch) - train_statistic(batch[0], batch[1:])) < 1e-12
 
         # (b) train-mode output variance is 1 for every size and source
         for dist in DISTRIBUTIONS:
             draw = standardized_sampler(dist)
             for b in (2, 4, 8, 32):
                 m = 60_000
-                x = draw((b, m), rng)
-                mu = x.mean(axis=0)
-                sigma = np.sqrt(np.mean((x - mu) ** 2, axis=0))
-                first = (x[0] - mu) / sigma
-                var = first.var(ddof=1)
-                stderr = np.sqrt(np.var((first - first.mean()) ** 2, ddof=1) / m)
-                assert abs(var - 1.0) < 5 * max(stderr, 1e-4), (dist, b)
+                var, stderr = first_element_variance(draw((b, m), rng))
+                assert_within_stderr(var, 1.0, max(stderr, 1e-4), 5, label=f"{dist}, B={b}")
 
         # (c) integrated conditional variance of the train statistic
         budget8, _ = noise_budget(8, "gaussian", rng, n_outer=3000, n_inner=1500)
@@ -211,8 +200,7 @@ def test_criterion_08_polynomial_correction_coefficients():
         fit = fit_poly_correction(curve)
         reported = np.array([1.0919, -8.8903e-2, 6.5157e-3, -1.9404e-4])
         spread = np.array([0.0020, 0.24595e-2, 0.61768e-3, 0.38001e-4])
-        gap = np.abs(fit.coeffs - reported)
-        assert np.all(gap <= 3 * spread), f"coefficient z-scores {gap / spread}"
+        assert_within_stderr(fit.coeffs, reported, spread, 3, label="coefficients")
 
 
 def test_criterion_09_gradient_checks():

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from mc_utils import assert_within_stderr, first_element_variance
 
 from rotnoise import (
     BatchNormState,
@@ -33,25 +34,26 @@ from rotnoise import (
 )
 from rotnoise import batchnorm
 from rotnoise.batchnorm import _BUDGET_ELEMENTS, _CURVE_BLOCK, DISTRIBUTIONS, NonlinearityCurve
+from rotnoise.rotation import _estimate
 
 
 ALL_DISTS = list(DISTRIBUTIONS)
 
 
 def loo_statistic_direct(batch):
-    """Left side of the leave-one-out identity, computed from the raw batch."""
-    mu = batch.mean()
-    sigma = np.sqrt(np.mean((batch - mu) ** 2))
-    return (batch[0] - mu) / sigma
+    """Left side of the leave-one-out identity: x_0 normalized by its batch
+    along the last axis."""
+    mu = batch.mean(axis=-1)
+    sigma = np.sqrt(np.mean((batch - mu[..., None]) ** 2, axis=-1))
+    return (batch[..., 0] - mu) / sigma
 
 
-def loo_statistic_identity(batch):
-    """Right side: the first element against its B-1 companions."""
-    b = batch.size
-    rest = batch[1:]
-    m = rest.mean()
-    s2 = np.mean((rest - m) ** 2)
-    d = batch[0] - m
+def train_statistic(x, z):
+    """Right side: x against the B-1 companions along the last axis of z."""
+    b = z.shape[-1] + 1
+    m = z.mean(axis=-1)
+    s2 = np.mean((z - m[..., None]) ** 2, axis=-1)
+    d = x - m
     return np.sqrt((b - 1) / b) * d / np.sqrt(s2 + d * d / b)
 
 
@@ -122,13 +124,8 @@ def test_long_run_train_variance_is_one():
     # 1e5 batches of size 8: the pooled first-element variance is 1
     rng = np.random.default_rng(2)
     b, m = 8, 100_000
-    x = rng.standard_normal((b, m))
-    mu = x.mean(axis=0)
-    sigma = np.sqrt(np.mean((x - mu) ** 2, axis=0))
-    first = (x[0] - mu) / sigma
-    var = first.var(ddof=1)
-    stderr = np.sqrt(np.var((first - first.mean()) ** 2, ddof=1) / m)
-    assert abs(var - 1.0) < max(5 * stderr, 0.005)
+    var, stderr = first_element_variance(rng.standard_normal((b, m)))
+    assert_within_stderr(var, 1.0, max(stderr, 0.005 / 5), 5)
 
 
 @pytest.mark.parametrize("dist", ["gaussian", "laplace", "uniform-square"])
@@ -137,13 +134,8 @@ def test_strict_variance_lemma(dist, batch_size):
     rng = np.random.default_rng(3)
     draw = standardized_sampler(dist)
     m = 60_000
-    x = draw((batch_size, m), rng)
-    mu = x.mean(axis=0)
-    sigma = np.sqrt(np.mean((x - mu) ** 2, axis=0))
-    first = (x[0] - mu) / sigma
-    var = first.var(ddof=1)
-    stderr = np.sqrt(np.var((first - first.mean()) ** 2, ddof=1) / m)
-    assert abs(var - 1.0) < 5 * max(stderr, 1e-4)
+    var, stderr = first_element_variance(draw((batch_size, m), rng))
+    assert_within_stderr(var, 1.0, max(stderr, 1e-4), 5)
 
 
 def test_test_forward_requires_populated_stats():
@@ -209,9 +201,7 @@ def test_leave_one_out_identity_exact():
     for b in (2, 4, 8, 32):
         for _ in range(200):
             batch = rng.standard_normal(b)
-            lhs = loo_statistic_direct(batch)
-            rhs = loo_statistic_identity(batch)
-            assert abs(lhs - rhs) < 1e-12
+            assert abs(loo_statistic_direct(batch) - train_statistic(batch[0], batch[1:])) < 1e-12
 
 
 def test_train_statistic_samples_match_direct_simulation():
@@ -223,19 +213,16 @@ def test_train_statistic_samples_match_direct_simulation():
     batches = np.concatenate(
         [np.full((50_000, 1), x), draw((50_000, b - 1), rng)], axis=1
     )
-    mu = batches.mean(axis=1)
-    sigma = np.sqrt(np.mean((batches - mu[:, None]) ** 2, axis=1))
-    direct = (x - mu) / sigma
-    assert abs(f.mean() - direct.mean()) < 4 * np.hypot(
-        f.std(ddof=1) / np.sqrt(f.size), direct.std(ddof=1) / np.sqrt(direct.size)
-    )
+    mean, stderr = _estimate(f)
+    direct_mean, direct_stderr = _estimate(loo_statistic_direct(batches))
+    assert_within_stderr(mean, direct_mean, np.hypot(stderr, direct_stderr), 4)
 
 
 def test_curve_center_is_zero_for_symmetric_sources():
     rng = np.random.default_rng(9)
     for dist in ("gaussian", "uniform", "laplace"):
         curve = mc_nonlinearity_curve(dist, 8, rng, grid=np.array([0.0]), n_mc=40_000)
-        assert abs(curve.f_expect[0]) < 4 * curve.stderr[0]
+        assert_within_stderr(curve.f_expect[0], 0.0, curve.stderr[0], 4, label=dist)
 
 
 def test_curve_respects_hard_bound():
@@ -252,20 +239,17 @@ def test_curve_is_odd_and_monotone_for_gaussian():
     # every grid point shares the companion draws, so the stderrs of the
     # sums f(x) + f(-x) and of neighbouring differences come from the
     # paired per-draw values (one block: the same draws as the curve's).
-    # False-failure rate: 13 two-sided and 24 one-sided 5-sigma checks,
-    # at most 1.5e-5 by a union bound under the normal approximation.
+    # The 24 one-sided 5-sigma step checks fail by chance with probability
+    # at most 6.9e-6 by a union bound under the normal approximation.
     n_mc, b = 60_000, 8
     grid = np.arange(-3.0, 3.0 + 1e-9, 0.25)
     curve = mc_nonlinearity_curve("gaussian", b, np.random.default_rng(11), grid=grid, n_mc=n_mc)
     z = standardized_sampler("gaussian")((n_mc, b - 1), np.random.default_rng(11))
-    m = z.mean(axis=1)
-    s2 = np.mean((z - m[:, None]) ** 2, axis=1)
-    d = grid[:, None] - m
-    f = np.sqrt((b - 1) / b) * d / np.sqrt(s2 + d**2 / b)
+    f = train_statistic(grid[:, None], z)
     np.testing.assert_allclose(f.mean(axis=1), curve.f_expect, rtol=1e-12, atol=1e-15)
     sym = curve.f_expect + curve.f_expect[::-1]
     err = (f + f[::-1]).std(axis=1, ddof=1) / np.sqrt(n_mc)
-    assert np.all(np.abs(sym) < 5 * err)
+    assert_within_stderr(sym, 0.0, err, 5, entries=13)  # sym[k] == sym[24 - k]
     steps = np.diff(curve.f_expect)
     step_err = np.diff(f, axis=0).std(axis=1, ddof=1) / np.sqrt(n_mc)
     assert np.all(steps > -5 * step_err)
@@ -296,10 +280,8 @@ def test_curve_blocks_match_one_shot_reference(dist, b):
     grid = np.array([-2.7, -0.4, 0.0, 1.3])
     curve = mc_nonlinearity_curve(dist, b, np.random.default_rng(30), grid=grid, n_mc=n_mc)
     z = standardized_sampler(dist)((n_mc, b - 1), np.random.default_rng(30))
-    m = z.mean(axis=1)
-    s2 = np.mean((z - m[:, None]) ** 2, axis=1)
     for k, x in enumerate(grid):
-        f = np.sqrt((b - 1) / b) * (x - m) / np.sqrt(s2 + (x - m) ** 2 / b)
+        f = train_statistic(x, z)
         np.testing.assert_allclose(curve.f_expect[k], f.mean(), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(curve.f_var[k], f.var(ddof=1), rtol=1e-12)
         np.testing.assert_allclose(curve.stderr[k], f.std(ddof=1) / np.sqrt(n_mc), rtol=1e-12)
@@ -351,10 +333,7 @@ def test_train_statistic_samples_leaves_the_drawn_array_alone(monkeypatch):
 
     f = train_statistic_samples(0.3, 8, 50, draw, None)
     np.testing.assert_array_equal(held, before)
-    m = before.mean(axis=1)
-    s2 = np.mean((before - m[:, None]) ** 2, axis=1)
-    d = 0.3 - m
-    np.testing.assert_array_equal(f, np.sqrt(7 / 8) * d / np.sqrt(s2 + d**2 / 8))
+    np.testing.assert_array_equal(f, train_statistic(0.3, before))
 
 
 # every layout of _companion_moments: the default crossover, np.mean per row
@@ -574,6 +553,20 @@ def test_cross_normalize_needs_three():
         cross_normalize(np.ones((2, 1)), np.ones(1), np.zeros(1))
 
 
+@pytest.mark.parametrize(
+    "eps, x",
+    [
+        (-1.0, None), (np.nan, None), (np.inf, None),
+        (0.0, np.ones((4, 2))), (0.0, [[5.0, 0.0], [1.0, 1.0], [1.0, 2.0]]),  # b - 1 = 2 equal values
+    ],
+    ids=["negative", "nan", "inf", "constant-batch", "b-1-equal"],
+)
+def test_cross_normalize_names_a_bad_eps(eps, x):
+    x = np.random.default_rng(19).standard_normal((4, 2)) if x is None else x
+    with pytest.raises(ValueError, match="eps"):
+        cross_normalize(x, np.ones(2), np.zeros(2), eps=eps)
+
+
 def test_leave_one_out_stats_do_not_move_with_the_element():
     # perturbing x_0 three times: the implied normalizer (slope) and shift
     # recovered from the outputs must be identical, because the element's
@@ -613,12 +606,11 @@ def test_cross_normalization_expectation_is_affine(normalizer):
         batch = draw((8, n), rng)
         batch[0, :] = x1
         out = cross_normalize(batch, np.ones(n), np.zeros(n), eps=0.0, normalizer=normalizer)
-        means[k] = out[0].mean()
-        errs[k] = out[0].std(ddof=1) / np.sqrt(n)
+        means[k], errs[k] = _estimate(out[0])
     design = np.stack([grid, np.ones_like(grid)], axis=1)
     coef, *_ = np.linalg.lstsq(design, means, rcond=None)
     resid = means - design @ coef
-    assert np.all(np.abs(resid) < 3 * errs)
+    assert_within_stderr(resid, 0.0, errs, 3)
 
 
 def test_cross_normalize_rejects_unknown_normalizer():
@@ -728,8 +720,8 @@ def test_expected_shift_equality_between_placements():
     rep_a = variance_shift("dropout-a", False, 0.5, source, W=w)
     rep_b = variance_shift("dropout-b", False, 0.5, source, W=w)
     diff = (rep_a.var_train - rep_a.var_test) - (rep_b.var_train - rep_b.var_test)
-    stderr = diff.std(ddof=1) / np.sqrt(diff.size)
-    assert abs(diff.mean()) < 5 * stderr
+    mean, stderr = _estimate(diff)
+    assert_within_stderr(mean, 0.0, stderr, 5)
 
 
 def test_observation_inequalities_hold_for_relu_features():

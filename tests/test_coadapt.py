@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from mc_utils import conditional_cov_mc
+from mc_utils import assert_within_stderr, conditional_cov_mc, outer_moment
 
 from rotnoise import (
     BernoulliDropout,
@@ -97,7 +97,7 @@ def test_conditional_covariance_matches_monte_carlo(method):
     op = BernoulliDropout(p) if method == "dropout" else RotationOut(gaussian_tangent(np.sqrt(lam)))
     mean, stderr = conditional_cov_mc(op, x, 300_000, rng)
     closed = conditional_noise_covariance(x, method, p)
-    assert np.all(np.abs(mean - closed) < 4 * np.maximum(stderr, 1e-12))
+    assert_within_stderr(mean, closed, np.maximum(stderr, 1e-12), 4, entries=10)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_total_variance_matches_end_to_end_monte_carlo(method):
     # chunked stderr of each covariance entry
     chunks = np.stack([np.cov(c.T, ddof=1) for c in np.array_split(noised, 20)])
     stderr = chunks.std(axis=0, ddof=1) / np.sqrt(20)
-    assert np.all(np.abs(observed - closed) < 4.5 * stderr)
+    assert_within_stderr(observed, closed, stderr, 4.5, entries=36, dof=19)
 
 
 @pytest.mark.parametrize(
@@ -162,7 +162,7 @@ def test_law_of_total_variance(op):
         dc = nc - xc
         chunks.append((np.cov(nc.T, ddof=1) - np.cov(xc.T, ddof=1)) - dc.T @ dc / dc.shape[0])
     stderr = np.stack(chunks).std(axis=0, ddof=1) / np.sqrt(splits)
-    assert np.all(np.abs(lhs - rhs) < 5 * np.maximum(stderr, 1e-6))
+    assert_within_stderr(lhs, rhs, np.maximum(stderr, 1e-6), 5, entries=21, dof=19)
 
 
 def test_rotation_cross_covariance_is_inhibitory():
@@ -175,22 +175,14 @@ def test_rotation_cross_covariance_is_inhibitory():
     n = 400_000
     x = source.sample(n, rng)
 
-    rot = RotationOut(gaussian_tangent(np.sqrt(lam)))
-    delta = rot(x, rng) - x
-    cross = delta.T @ delta / n
+    cross, err = outer_moment(RotationOut(gaussian_tangent(np.sqrt(lam)))(x, rng) - x)
     expected = -lam / (dim - 1) * source.cov
     i, j = 0, 1
-    sq = delta**2
-    err = np.sqrt((sq.T @ sq / n - cross**2) / n)
     assert cross[i, j] < 0
-    assert abs(cross[i, j] - expected[i, j]) < 5 * err[i, j]
+    assert_within_stderr(cross[i, j], expected[i, j], err[i, j], 5)
 
-    ind = GaussianDropout(lam)
-    delta = ind(x, rng) - x
-    cross = delta.T @ delta / n
-    sq = delta**2
-    err = np.sqrt((sq.T @ sq / n - cross**2) / n)
-    assert abs(cross[i, j]) < 5 * err[i, j]
+    cross, err = outer_moment(GaussianDropout(lam)(x, rng) - x)
+    assert_within_stderr(cross[i, j], 0.0, err[i, j], 5)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +260,13 @@ def test_equicorrelated_names_a_dimension_below_2(dim):
 
 def test_verify_reduction_past_the_sign_flip():
     # D = 3, p = 0.2: lam r = 4/3 > 1, so the noise flips the sign of the
-    # off-diagonal covariance, and the factor is |1 - 4/3| / (1 + 8/3) = 1/11.
-    # 4e5 draws; the stderr comes from 20 chunks, so |z| < 6 fails by chance
-    # with probability about 9e-6 (t, 19 degrees of freedom)
+    # off-diagonal covariance, and the factor is |1 - 4/3| / (1 + 8/3) = 1/11;
+    # the stderr comes from 20 chunks, so |z| has 19 degrees of freedom
     rng = np.random.default_rng(1)
     report = verify_reduction(GaussianSource(equicorrelated(3, 0.5)), "rotation", 0.2, 400_000, rng)
     assert reduction_factor("rotation", 0.2, 3) == pytest.approx(1 / 11, rel=1e-12)
     assert report.predicted_factor == pytest.approx(1 / 11, rel=1e-12)
-    assert abs(report.observed_factor - 1 / 11) < 6 * report.stderr
+    assert_within_stderr(report.observed_factor, 1 / 11, report.stderr, 6, dof=19)
 
 
 def test_verify_reduction_diagonal_source_is_flagged():
@@ -327,7 +318,7 @@ def test_uncentered_dropout_on_relu_features():
     assert predictions[0.7] == pytest.approx(0.61, abs=0.005)
 
     report = verify_reduction(source, "dropout", 0.9, 400_000, rng, center=False)
-    assert report.observed_factor == pytest.approx(predictions[0.9], abs=5 * report.stderr)
+    assert_within_stderr(report.observed_factor, predictions[0.9], report.stderr, 5, dof=19)
 
 
 @pytest.mark.parametrize("method", ["dropout", "rotation"])
@@ -358,24 +349,20 @@ def test_verify_reduction_checks_method_before_drawing():
 
 @pytest.mark.parametrize("dim", [3, 5, 7])
 def test_conditional_rotation_covariance_odd_dim_monte_carlo(dim):
-    # 2e5 draws; |z| < 5 on each of the D (D + 1) / 2 distinct entries
-    # fails by chance with probability below 2e-5 per case
     p = 0.8
     rng = np.random.default_rng(300 + dim)
     x = rng.standard_normal(dim)
     op = RotationOut(gaussian_tangent(np.sqrt((1 - p) / p)))
     mean, stderr = conditional_cov_mc(op, x, 200_000, rng)
     closed = conditional_noise_covariance(x, "rotation", p)
-    assert np.all(np.abs(mean - closed) < 5 * stderr)
+    assert_within_stderr(mean, closed, stderr, 5, entries=dim * (dim + 1) // 2)
 
 
 @pytest.mark.parametrize("dim", [3, 5, 7])
 def test_verify_reduction_odd_dim_matches_reduction_factor(dim):
-    # 2e5 draws; the stderr comes from 20 chunks, so |z| < 6 fails by
-    # chance with probability about 9e-6 per case (t, 19 degrees of freedom)
     rng = np.random.default_rng(310 + dim)
     source = GaussianSource(equicorrelated(dim, 0.5))
     report = verify_reduction(source, "rotation", 0.8, 200_000, rng)
     closed = reduction_factor("rotation", 0.8, dim)
     assert report.predicted_factor == pytest.approx(closed, rel=1e-12)
-    assert abs(report.observed_factor - closed) < 6 * report.stderr
+    assert_within_stderr(report.observed_factor, closed, report.stderr, 6, dof=19)

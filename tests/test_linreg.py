@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from mc_utils import assert_within_stderr
 from test_rotation import planes, rotate_reference
 
 import rotnoise.linreg
@@ -121,7 +122,7 @@ def test_rotation_solution_zeroes_marginalized_gradient():
     w = solve_rotation_lr(prob)
     angles = gaussian_tangent(np.sqrt(lam))
     grad, stderr = marginalized_gradient(prob, w, angles, n_trials=1500, rng=rng)
-    assert np.all(np.abs(grad) < 4 * stderr)
+    assert_within_stderr(grad, 0.0, stderr, 4)
     # sanity: a perturbed point does not zero the gradient
     grad_off, stderr_off = marginalized_gradient(prob, w + 0.1, angles, n_trials=1500, rng=rng)
     assert np.any(np.abs(grad_off) > 10 * stderr_off)
@@ -136,13 +137,12 @@ def test_marginalized_gradient_names_a_wrong_weight_shape(w):
 
 @pytest.mark.parametrize("dim", [3, 5, 7])
 def test_rotation_solution_zeroes_marginalized_gradient_odd_dim(dim):
-    # criterion 04 at odd D: 4000 trials; |z| < 5 on each of the D
-    # coordinates fails by chance with probability below 5e-6 per case
+    # criterion 04 at odd D
     rng = np.random.default_rng(320 + dim)
     prob = RegressionProblem(rng.standard_normal((40, dim)), rng.standard_normal(40), 1.0)
     w = solve_rotation_lr(prob)
     grad, stderr = marginalized_gradient(prob, w, gaussian_tangent(1.0), n_trials=4000, rng=rng)
-    assert np.all(np.abs(grad) < 5 * stderr)
+    assert_within_stderr(grad, 0.0, stderr, 5)
 
 
 def test_dropout_solution_moments_identity():

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from mc_utils import assert_within_stderr
 
 from rotnoise import (
     LayerSpec,
@@ -17,6 +18,7 @@ from rotnoise import (
 )
 from rotnoise import network
 from rotnoise.network import _BatchNorm, _Dense, _Noise, _Relu, _workspace
+from rotnoise.rotation import _estimate
 
 
 def loss_at(model, x, y, cache):
@@ -238,9 +240,8 @@ def test_noisy_train_forward_averages_to_eval_for_linear_model():
         logits, _ = model.forward(x, mode="train", rng=rng)
         acc[r] = logits
     eval_logits, _ = model.forward(x, mode="eval")
-    err = np.abs(acc.mean(axis=0) - eval_logits)
-    stderr = acc.std(axis=0, ddof=1) / np.sqrt(reps)
-    assert np.all(err < 4 * stderr)
+    mean, stderr = _estimate(acc, axis=0)
+    assert_within_stderr(mean, eval_logits, stderr, 4)
 
 
 # ---------------------------------------------------------------------------

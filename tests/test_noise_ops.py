@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from mc_utils import assert_within_stderr
 
 from rotnoise import (
     BernoulliDropout,
@@ -13,6 +14,7 @@ from rotnoise import (
     gaussian_tangent,
     make_noise_op,
 )
+from rotnoise.rotation import _estimate
 
 
 def mc_conditional_moments(op, x, n, rng):
@@ -42,7 +44,8 @@ def test_bernoulli_moments():
     p = 0.8
     x = np.ones(10_000)
     out = BernoulliDropout(p)(x, rng)
-    assert abs(out.mean() - 1.0) < 3 * out.std(ddof=1) / np.sqrt(x.size)
+    mean, stderr = _estimate(out)
+    assert_within_stderr(mean, 1.0, stderr, 3)
     var = np.mean((out - 1.0) ** 2)
     assert var == pytest.approx((1 - p) / p, rel=0.1)
 
@@ -119,9 +122,8 @@ def test_zero_centered_contract(any_op, dim):
     x = rng.standard_normal(dim) + 1.0
     n = 40_000
     out = any_op(np.broadcast_to(x, (n, dim)).copy(), rng)
-    err = np.abs(out.mean(axis=0) - x)
-    stderr = out.std(axis=0, ddof=1) / np.sqrt(n)
-    assert np.all(err < 4 * np.maximum(stderr, 1e-12))
+    mean, stderr = _estimate(out, axis=0)
+    assert_within_stderr(mean, x, np.maximum(stderr, 1e-12), 4)
 
 
 def test_eval_mode_is_exact_identity(any_op):

@@ -1,10 +1,13 @@
+import math
 import re
 import tracemalloc
 
+import mc_utils
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from mc_utils import assert_within_stderr
 
 from rotnoise import (
     AngleDistribution,
@@ -314,17 +317,14 @@ def test_zero_centered_noise_mean():
     dim, n = 8, 200_000
     x = rng.standard_normal(dim)
     batch = sample_batch_rotation(n, dim, gaussian_tangent(0.5), rng)
-    out = batch.apply(np.broadcast_to(x, (n, dim)))
-    err = np.abs(out.mean(axis=0) - x)
-    stderr = out.std(axis=0, ddof=1) / np.sqrt(n)
-    assert np.all(err < 4 * stderr)
+    mean, stderr = _estimate(batch.apply(np.broadcast_to(x, (n, dim))), axis=0)
+    assert_within_stderr(mean, x, stderr, 4)
 
 
 @pytest.mark.parametrize("dim", [2, 7, 8])
 def test_rotation_invariants_hold(dim):
     # the exact invariants are deterministic; zero-centered-mean is the
-    # largest |z| of D normal estimates, past 4 with probability below
-    # D * 6.4e-5 <= 5.1e-4 for this seed
+    # largest |z| of D normal estimates
     angles, rng = gaussian_tangent(0.5), np.random.default_rng(dim)
     rows = rotation_invariants(dim, angles, 20, 5_000, rng)
     names = [name for name, _, _ in rows]
@@ -341,7 +341,8 @@ def test_rotation_invariants_hold(dim):
         sample_pairing(dim, ref)
         angles.sample_tangents((), ref)
     out = sample_batch_rotation(5_000, dim, angles, ref).apply(np.broadcast_to(x, (5_000, dim)))
-    z = np.abs(out.mean(axis=0) - x) / (out.std(axis=0, ddof=1) / np.sqrt(5_000))
+    mean, stderr = _estimate(out, axis=0)
+    z = assert_within_stderr(mean, x, stderr, rows[-1][2])
     assert rows[-1][1] == z.max()
     assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -361,6 +362,27 @@ def test_estimate_is_the_mean_and_its_ddof1_standard_error():
     value, stderr = _estimate(x[:, 0])
     assert type(value) is float and value == x[:, 0].mean()
     assert type(stderr) is float and stderr == x[:, 0].std(ddof=1) / np.sqrt(50)
+
+
+def test_stderr_gate_fails_at_its_bound_and_names_the_worst_z(monkeypatch):
+    monkeypatch.setattr(mc_utils, "GATES", [])
+    z = np.zeros(8)
+    z[5] = 3.99
+    np.testing.assert_array_equal(assert_within_stderr(1.0 + 0.5 * z, 1.0, 0.5, 4), z)
+    z[5] = 4.0
+    with pytest.raises(AssertionError, match=r"\|z\| = 4 at \(5,\) .* rate 0\.000507 over 8 entries"):
+        assert_within_stderr(z, 0.0, 1.0, 4)
+    assert [rate for _, rate in mc_utils.GATES] == [mc_utils.false_failure_rate(4, 8)] * 2
+
+
+def test_stderr_gate_rate_is_the_union_bound_of_the_tail():
+    rate = mc_utils.false_failure_rate(4, 8)
+    assert rate == 8 * math.erfc(4 / math.sqrt(2)) == pytest.approx(5.07e-4, rel=1e-3)
+    # Student's t: the Cauchy tail at dof 1, 1 - t / sqrt(2 + t^2) at dof 2,
+    # and 2 * scipy.stats.t.sf(6, 19) at dof 19
+    assert mc_utils.false_failure_rate(4, 2, dof=1) == pytest.approx(2 - 4 / np.pi * np.arctan(4), rel=1e-14)
+    assert mc_utils.false_failure_rate(4, 1, dof=2) == pytest.approx(1 - 4 / np.sqrt(18), rel=1e-14)
+    assert mc_utils.false_failure_rate(6, 1, dof=19) == pytest.approx(8.979235472490839e-06, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +481,7 @@ def test_centered_replications_average_to_input():
     # column means of the replication-averaged deviation stay within noise
     col_dev = np.abs((mean - x).mean(axis=0))
     col_err = np.maximum(stderr.mean(axis=0) / np.sqrt(n), 1e-12)
-    assert np.all(col_dev < 3 * col_err)
+    assert_within_stderr(col_dev, 0.0, col_err, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +560,7 @@ def test_featuremap_positions_follow_the_rotation_noise_law(channels, angles):
     # E[(y_p - x_p)(y_q - x_q)^T] = _noise_moment(c_q c_p^T, "rotation",
     # (E|tan|)^2), checked between position 0 and the 11 others (5 in its
     # own sample, 6 in the other).  |z| < 5.5 on the 12 C means, 12 C (C + 1)
-    # / 2 distinct moments and 11 C^2 cross moments (1,235 over both cases)
-    # fails by chance with family-wise probability 4.7e-5
+    # / 2 distinct moments and 11 C^2 cross moments
     rng = np.random.default_rng(32 + channels)
     x = np.random.default_rng(channels).standard_normal((2, channels, 2, 3))
     n = 7_000
@@ -547,15 +568,15 @@ def test_featuremap_positions_follow_the_rotation_noise_law(channels, angles):
     delta = np.moveaxis(delta, 2, -1).reshape(n, -1, channels)
     c = np.moveaxis(x - x.mean(axis=(0, 2, 3), keepdims=True), 1, -1).reshape(-1, channels)
     mean, stderr = _estimate(delta, axis=0)
-    assert np.all(np.abs(mean) < 5.5 * stderr)
+    assert_within_stderr(mean, 0.0, stderr, 5.5)
     moment, stderr = _estimate(delta[..., :, None] * delta[..., None, :], axis=0)
     lam = second_moment_of_tangent(angles)
     expected = np.stack([_noise_moment(np.outer(row, row), "rotation", lam) for row in c])
-    assert np.all(np.abs(moment - expected) < 5.5 * stderr)
+    assert_within_stderr(moment, expected, stderr, 5.5, entries=12 * channels * (channels + 1) // 2)
     cross, stderr = _estimate(delta[:, :1, :, None] * delta[:, 1:, None, :], axis=0)
     lam = mean_abs_tangent(angles) ** 2
     expected = np.stack([_noise_moment(np.outer(row, c[0]), "rotation", lam) for row in c[1:]])
-    assert np.all(np.abs(cross - expected) < 5.5 * stderr)
+    assert_within_stderr(cross, expected, stderr, 5.5)
 
 
 def test_featuremap_block_only_rotates_inside():
