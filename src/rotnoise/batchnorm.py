@@ -59,8 +59,12 @@ class BatchNormState:
     n_batches: int = 0
 
     def __post_init__(self):
-        for name in ("running_mean", "running_var", "gamma", "beta"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        fields = ("running_mean", "running_var", "gamma", "beta")
+        for name in fields:
+            setattr(self, name, _finite(name, getattr(self, name)))
+        if len({getattr(self, name).shape for name in fields}) != 1 or self.gamma.ndim != 1:
+            shapes = ", ".join(f"{name} {getattr(self, name).shape}" for name in fields)
+            raise ValueError(f"the four statistics must be 1-D of one width, got {shapes}")
         if np.any(self.running_var < 0):
             raise ValueError("running variance must be nonnegative")
         if not 0.0 < self.eps < np.inf:
@@ -249,7 +253,8 @@ _CURVE_BLOCK = 100_000
 _BUDGET_ELEMENTS = 2**17
 # batches drawn at once by cross_normalization_curve
 _CN_CHUNK = 5000
-# companions per row from which _companion_moments reduces rows with np.mean
+# companions per row from which _companion_moments reduces each row, not the
+# columns of a transposed copy
 _SWEEP_WIDTH = 32
 
 
@@ -258,42 +263,11 @@ def _check_batch_size(batch_size: int) -> None:
         raise ValueError("batch size must be at least 2")
 
 
-def _pairwise_sum_rows(t: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Sum of the rows ``t[lo:hi]``, accumulated in place into ``t[lo]``.
-
-    Each column is summed in the order numpy's pairwise summation adds the
-    terms of one contiguous reduction: sequentially below 8 terms; up to
-    128 terms in eight running sums combined as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then a sequential
-    tail; above 128 terms as two halves split at a multiple of 8.
-    """
-    n = hi - lo
-    if n < 8:
-        for i in range(lo + 1, hi):
-            t[lo] += t[i]
-    elif n <= 128:
-        tail = hi - n % 8
-        for i in range(lo + 8, tail, 8):
-            t[lo : lo + 8] += t[i : i + 8]
-        t[lo : lo + 8 : 2] += t[lo + 1 : lo + 8 : 2]
-        t[lo : lo + 8 : 4] += t[lo + 2 : lo + 8 : 4]
-        t[lo] += t[lo + 4]
-        for i in range(tail, hi):
-            t[lo] += t[i]
-    else:
-        half = n // 2 - n // 2 % 8
-        _pairwise_sum_rows(t, lo, lo + half)
-        _pairwise_sum_rows(t, lo + half, hi)
-        t[lo] += t[lo + half]
-    return t[lo]
-
-
-def _column_means(t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.mean(t.T, axis=-1)`` into ``out``, bit for bit; ``t`` is overwritten."""
-    total = _pairwise_sum_rows(t, 0, t.shape[0])
-    # numpy adds the sum to the identity 0.0, which turns -0.0 into +0.0
-    np.add(total, 0.0, out=total)
-    return np.divide(total, t.shape[0], out=out)
+def _check_grid(grid) -> np.ndarray:
+    grid = _finite("grid", grid)
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be 1-D, got shape {grid.shape}")
+    return grid
 
 
 def _companion_moments(rows: int, batch_size: int, draw, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -308,38 +282,39 @@ def _companion_moments(rows: int, batch_size: int, draw, rng) -> tuple[np.ndarra
     ``np.mean(z, axis=-1)`` runs numpy's reduction loop once per row, which
     costs about as much as the row's sums when rows are short.  Below
     ``_SWEEP_WIDTH`` companions, each chunk is instead copied transposed
-    into scratch, where ``_column_means`` adds whole rows of it in the order
-    numpy's pairwise summation adds one row's terms, so the moments keep
-    every bit of ``np.mean`` (NaN payloads aside: numpy's compiled loop may
-    take the operands of a sum in either order).  The deviations are taken
-    from the drawn chunk again, since the sums overwrite the copy.  Per
-    chunk of 2^17 values, the sweep took 0.36 of ``np.mean``'s time at
-    B - 1 = 7 and 0.53 at 15, below 1 at every width from 2 to 31 measured,
-    but 1.21 at 32, 1.29 at 47 and 1.67 at 63 (``BENCH_14.json``), so rows
-    of 32 or more keep ``np.mean``.
+    into scratch and reduced down its columns by ``np.mean(axis=0)``, which
+    adds one row of the copy at a time.  numpy reduces a lone column
+    pairwise instead, so a one-row chunk is copied twice side by side, and
+    every row is summed in one order whatever the chunk size.  Below 8
+    terms numpy's pairwise summation is that same sequential order, so the
+    moments equal ``np.mean`` of the row bit for bit; from 8 to 31
+    companions they differ from it by rounding only.  Rows of 32 or more
+    keep ``np.mean(z, axis=-1)``, and with it numpy's pairwise order.
     """
     width = batch_size - 1
     step = max(1, _BUDGET_ELEMENTS // width)
     # chunk buffers before m and s2: freed, they leave a hole below them, not
     # a heap top that malloc hands back to the system and faults in per call
     z = draw((min(step, rows), width), rng)
-    scratch = np.empty(z.size)
-    m = np.empty(rows)
-    s2 = np.empty(rows)
+    scratch = np.empty(max(z.size, 2 * width))
+    # a spare last slot for the second copy of a one-row chunk
+    m = np.empty(rows + 1)
+    s2 = np.empty(rows + 1)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         if lo:
             z = draw((hi - lo, width), rng)
         if width < _SWEEP_WIDTH:
-            t = scratch[: z.size].reshape(width, hi - lo)
+            cols = max(hi - lo, 2)
+            t = scratch[: width * cols].reshape(width, cols)
             np.copyto(t, z.T)
-            _column_means(t, m[lo:hi])
-            _column_means(np.square(np.subtract(z.T, m[lo:hi], out=t), out=t), s2[lo:hi])
+            mean = np.mean(t, axis=0, out=m[lo : lo + cols])
+            np.mean(np.square(np.subtract(t, mean, out=t), out=t), axis=0, out=s2[lo : lo + cols])
         else:
             dev = np.subtract(z, np.mean(z, axis=-1, out=m[lo:hi])[:, None],
                               out=scratch[: z.size].reshape(z.shape))
             np.mean(np.square(dev, out=dev), axis=-1, out=s2[lo:hi])
-    return m, s2
+    return m[:rows], s2[:rows]
 
 
 def _normalized_value(x, m, s2, batch_size: int, out, scratch):
@@ -418,7 +393,7 @@ def mc_nonlinearity_curve(
     draw = standardized_sampler(dist)
     _check_batch_size(batch_size)
     _check_budget("n_mc", n_mc)
-    grid = default_poly_grid() if grid is None else np.asarray(grid, dtype=np.float64)
+    grid = default_poly_grid() if grid is None else _check_grid(grid)
     mean = np.zeros_like(grid)
     sq_dev = np.zeros_like(grid)  # sums of squared deviations from the mean
     done = 0
@@ -463,7 +438,7 @@ def cross_normalization_curve(
     """
     _check_budget("n_mc", n_mc)
     draw = standardized_sampler("gaussian")
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = _check_grid(grid)
     gamma = np.ones(1)
     beta = np.zeros(1)
     means = np.empty_like(grid)
@@ -490,7 +465,10 @@ class PolyFit:
 
 
 def evaluate_odd_poly(coeffs, x) -> np.ndarray:
+    """a1 x + a3 x^3 + a5 x^5 + a7 x^7 for ``coeffs`` = (a1, a3, a5, a7)."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
+    if coeffs.shape != (4,):
+        raise ValueError(f"odd-polynomial coefficients must have shape (4,), got {coeffs.shape}")
     x = np.asarray(x, dtype=np.float64)
     return coeffs[0] * x + coeffs[1] * x**3 + coeffs[2] * x**5 + coeffs[3] * x**7
 

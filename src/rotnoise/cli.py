@@ -75,7 +75,9 @@ def _bool(text) -> bool:
 
 # parameter schema per subcommand: name -> (converter, default, help[, bound]);
 # the optional bound is the least allowed value, or "positive" (and finite);
-# only keys the library does not already reject by name carry one
+# only keys the library does not already reject by name carry one, which
+# includes the float budgets: int() fails on inf or NaN before the library
+# sees them
 _GLOBAL = {
     "seed": (int, 0, "random seed recorded in the manifest"),
     "out": (str, None, "output directory (default: $ROTNOISE_OUTDIR or ./rotnoise-results)"),
@@ -85,14 +87,14 @@ _SCHEMAS: dict[str, dict] = {
     "verify-rotation": {
         "dim": (int, 8, "vector dimension"),
         "sigma": (float, 0.5, "gaussian tangent scale"),
-        "samples": (float, 1e5, "Monte-Carlo draws for the mean check"),
+        "samples": (float, 1e5, "Monte-Carlo draws for the mean check", "positive"),
         "realizations": (int, 100, "realizations for the exact checks"),
     },
     "coadapt": {
         "dim": (int, 8, "feature dimension", 2),
         "rho": (float, 0.5, "equicorrelation of the Gaussian source"),
         "keep_rate": (float, 0.8, "matched keep rate"),
-        "samples": (float, 1e6, "Monte-Carlo sample count"),
+        "samples": (float, 1e6, "Monte-Carlo sample count", "positive"),
     },
     "linreg": {
         "n": (int, 64, "number of data points"),
@@ -104,11 +106,11 @@ _SCHEMAS: dict[str, dict] = {
     "angle-demo": {
         "dim": (int, 1024, "vector dimension for the mask-angle check"),
         "keep_rate": (float, 0.5, "dropout keep rate"),
-        "samples": (float, 1e4, "vectors per estimate"),
+        "samples": (float, 1e4, "vectors per estimate", "positive"),
         "classes": (int, 10, "weight rows for the flip-rate curve", 2),
         "margin_dim": (int, 32, "feature dimension for the flip-rate curve", 2),
         "sigma": (float, 0.5, "gaussian tangent scale of the rotation noise"),
-        "flip_samples": (float, 2e4, "rotations per margin grid point"),
+        "flip_samples": (float, 2e4, "rotations per margin grid point", "positive"),
     },
     "var-shift": {
         "dim": (int, 64, "feature dimension"),
@@ -121,20 +123,20 @@ _SCHEMAS: dict[str, dict] = {
     "bn-curve": {
         "batch": (int, 8, "batch size"),
         "dist": (str, "gaussian", "source distribution tag"),
-        "samples": (float, 1e5, "draws per grid point"),
+        "samples": (float, 1e5, "draws per grid point", "positive"),
         "grid_max": (float, 3.0, "grid half-width", "positive"),
         "grid_step": (float, 0.05, "grid spacing", "positive"),
     },
     "bn-poly": {
         "batch": (int, 8, "batch size"),
         "dist": (str, "gaussian", "source distribution tag"),
-        "samples": (float, 1e6, "draws per grid point"),
+        "samples": (float, 1e6, "draws per grid point", "positive"),
         "grid_max": (float, 3.3, "fit window half-width", "positive"),
         "grid_step": (float, 0.05, "grid spacing", "positive"),
     },
     "cn-check": {
         "batch": (int, 8, "batch size", 3),
-        "samples": (float, 2e5, "draws per grid point"),
+        "samples": (float, 2e5, "draws per grid point", "positive"),
         "grid_max": (float, 3.0, "grid half-width", "positive"),
         "points": (int, 13, "grid points"),
         "normalizer": (str, "b-1", "leave-one-out divisor: b-1 or b"),

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -184,6 +185,46 @@ def test_state_rejects_bad_eps(eps):
         BatchNormState.initial(2, eps=eps)
 
 
+STATE_FIELDS = ("running_mean", "running_var", "gamma", "beta")
+
+
+@pytest.mark.parametrize("field", STATE_FIELDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_state_names_a_non_finite_field(field, bad):
+    fields = {name: np.ones(3) for name in STATE_FIELDS}
+    fields[field] = np.array([1.0, bad, 1.0])
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        BatchNormState(**fields)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        {"gamma": (4,)},  # a width other than the rest
+        {"running_var": (2,), "beta": (5,)},
+        {name: (1, 3) for name in STATE_FIELDS},  # one shape, but 2-D
+        {name: () for name in STATE_FIELDS},
+    ],
+)
+def test_state_needs_four_1d_fields_of_one_width(shapes):
+    fields = {name: np.ones(shapes.get(name, (3,))) for name in STATE_FIELDS}
+    with pytest.raises(ValueError, match="must be 1-D of one width"):
+        BatchNormState(**fields)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[1.0, 0.1], [1.0, 0.1, 0.0], [1.0, 0.0, 0.0, 0.0, 0.5], [[1.0, 0.0, 0.0, 0.0]], 1.0]
+)
+def test_odd_poly_needs_four_coefficients(coeffs):
+    message = re.escape(f"shape (4,), got {np.shape(coeffs)}")
+    with pytest.raises(ValueError, match=message):
+        evaluate_odd_poly(coeffs, np.ones(3))
+    state = BatchNormState.initial(3)
+    bn_train_forward(np.eye(3), state)
+    with pytest.raises(ValueError, match=message):
+        bn_test_forward(np.ones((2, 3)), state, correction=("poly", coeffs))
+
+
 def test_unknown_correction_rejected():
     rng = np.random.default_rng(6)
     state = BatchNormState.initial(2)
@@ -337,13 +378,27 @@ def test_train_statistic_samples_leaves_the_drawn_array_alone(monkeypatch):
 
 
 # every layout of _companion_moments: the default crossover, np.mean per row
-# at every width, and column sweeps at every width
+# at every width, and column reductions at every width
 LAYOUTS = [batchnorm._SWEEP_WIDTH, 1, 10**9]
 
 
-def reference_moments(z):
+def row_moments(z):
     m = z.mean(axis=1)
     return m, np.mean((z - m[:, None]) ** 2, axis=1)
+
+
+def column_moments(z):
+    """np.mean down the columns of a contiguous transposed copy of z, which
+    numpy sums one row at a time when z holds at least two rows."""
+    t = np.ascontiguousarray(z.T)
+    m = np.mean(t, axis=0)
+    return m, np.mean((t - m) ** 2, axis=0)
+
+
+def layout_moments(z, layout):
+    """The numpy reduction _companion_moments applies to z when
+    _SWEEP_WIDTH is ``layout``."""
+    return column_moments(z) if z.shape[1] < layout else row_moments(z)
 
 
 def assert_same_bits_or_both_nan(got, want):
@@ -393,13 +448,47 @@ def test_companion_moments_equal_np_mean_bit_for_bit(monkeypatch, width):
     rng = np.random.default_rng(width)
     for layout in LAYOUTS:
         monkeypatch.setattr(batchnorm, "_SWEEP_WIDTH", layout)
+        # the last chunk is partial, whole, a single row and three rows; a
+        # whole-array reduction gives every row's bits only if no chunk
+        # boundary moves them
         for rows in (step - 1, step, step + 1, 2 * step + 3):
             draw, chunks = recorded(draw_with_specials)
             with np.errstate(invalid="ignore", over="ignore"):
                 got = batchnorm._companion_moments(rows, width + 1, draw, rng)
-                want = reference_moments(np.concatenate(chunks))
-            for g, w in zip(got, want):
-                assert_same_bits_or_both_nan(g, w)
+                z = np.concatenate(chunks)
+                wants = [layout_moments(z, layout)]
+                # below 8 terms numpy's pairwise summation is sequential, so
+                # both layouts give each row's np.mean, as the default layout
+                # does from 32 companions on
+                if width < 8:
+                    wants.append(row_moments(z))
+            for want in wants:
+                for g, w in zip(got, want):
+                    assert_same_bits_or_both_nan(g, w)
+
+
+@pytest.mark.parametrize("width", [8, 15, 31, 32, 63, 600])
+def test_companion_layouts_agree_within_rounding(monkeypatch, width):
+    monkeypatch.setattr(batchnorm, "_BUDGET_ELEMENTS", 2**11)
+    rows = 2 * max(1, 2**11 // width) + 3
+    results, drawn = [], []
+    for layout in (1, 10**9):
+        monkeypatch.setattr(batchnorm, "_SWEEP_WIDTH", layout)
+        draw, chunks = recorded(draw_with_specials)
+        with np.errstate(invalid="ignore", over="ignore"):
+            results.append(batchnorm._companion_moments(rows, width + 1, draw, np.random.default_rng(40)))
+        drawn.append(np.concatenate(chunks))
+    np.testing.assert_array_equal(*drawn)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(drawn[0] ** 2).all(axis=1)
+    z = drawn[0][finite]
+    (m_row, s2_row), (m_col, s2_col) = (np.stack(r)[:, finite] for r in results)
+    # either order of a sum of n terms is within (n - 1) eps of the exact sum
+    # of their magnitudes; the squared deviations take it from both sums
+    tol = 2 * width * np.finfo(float).eps
+    assert np.all(np.abs(m_col - m_row) <= tol * np.abs(z).mean(axis=1))
+    assert np.all(np.abs(s2_col - s2_row) <= 4 * tol * np.mean(z**2, axis=1))
+    assert np.any(m_col != m_row)
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS)
@@ -410,7 +499,7 @@ def test_companion_moments_equal_np_mean_for_every_source(monkeypatch, dist, lay
     for b, rows in ((2, 70_001), (8, 30_000), (16, 20_000), (34, 5_000), (65, 2_500)):
         draw, chunks = recorded(standardized_sampler(dist))
         got = batchnorm._companion_moments(rows, b, draw, rng)
-        for g, w in zip(got, reference_moments(np.concatenate(chunks))):
+        for g, w in zip(got, layout_moments(np.concatenate(chunks), layout)):
             assert_same_bits_or_both_nan(g, w)
 
 
@@ -430,7 +519,7 @@ def test_companion_moments_leave_the_drawn_array_alone(monkeypatch, layout, widt
 
     with np.errstate(invalid="ignore", over="ignore"):
         got = batchnorm._companion_moments(61, width + 1, draw, None)
-        want = reference_moments(before)
+        want = layout_moments(before, layout)
     assert taken == 61
     np.testing.assert_array_equal(held.view(np.int64), before.view(np.int64))
     for g, w in zip(got, want):
@@ -478,6 +567,28 @@ ANGLES = gaussian_tangent(0.5)
 def test_degenerate_monte_carlo_budget_is_rejected(call, budget):
     with pytest.raises(ValueError, match=f"budget {budget} must be at least"):
         call(np.random.default_rng(32))
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ([0.0, np.nan], "grid must be finite"),
+        ([-np.inf, 1.0], "grid must be finite"),
+        (np.zeros((2, 3)), r"grid must be 1-D, got shape \(2, 3\)"),
+        (0.5, r"grid must be 1-D, got shape \(\)"),
+    ],
+)
+def test_curves_reject_a_bad_grid_before_drawing(grid, message):
+    rng = np.random.default_rng(41)
+    before = rng.bit_generator.state
+    calls = [
+        lambda: mc_nonlinearity_curve("gaussian", 8, rng, grid=grid, n_mc=100),
+        lambda: cross_normalization_curve(8, rng, grid, n_mc=100),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert rng.bit_generator.state == before
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,26 @@ def test_degenerate_setting_exits_2(tmp_path, capsys, argv, csv_name, message):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("verify-rotation", "samples"),
+        ("coadapt", "samples"),
+        ("angle-demo", "samples"),
+        ("angle-demo", "flip_samples"),
+        ("bn-curve", "samples"),
+        ("bn-poly", "samples"),
+        ("cn-check", "samples"),
+    ],
+)
+def test_non_finite_budget_is_named_and_writes_nothing(tmp_path, capsys, command, key, value):
+    code = run([command, "--" + key.replace("_", "-"), value, "--out", str(tmp_path)])
+    assert code == 2
+    assert f"config key {key!r} must be positive and finite, got {value}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("realizations", ["0", "-3"])
 def test_verify_rotation_without_a_realization_exits_2(tmp_path, capsys, realizations):
     code = run(["verify-rotation", "--realizations", realizations, "--out", str(tmp_path)])
