@@ -84,15 +84,22 @@ class BatchNormState:
         )
 
 
+def _check_width(x: np.ndarray, state: BatchNormState) -> None:
+    if x.shape[-1:] != state.gamma.shape:
+        raise ValueError(f"x of shape {x.shape} does not have the state's width {state.gamma.size}")
+
+
 def _train_normalize(x: np.ndarray, state: BatchNormState, update: bool):
     """``bn_train_forward`` returning (out, xhat, inv_std) for a backward pass."""
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("batch normalization needs a batch of at least 2")
+    _check_width(x, state)
     b = x.shape[0]
     mu = x.mean(axis=0)
-    var = np.mean((x - mu) ** 2, axis=0)
+    xhat = x - mu
+    var = np.mean(xhat**2, axis=0)
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x - mu) * inv_std
+    xhat *= inv_std
     if update:
         m = state.momentum
         state.running_mean = (1 - m) * state.running_mean + m * mu
@@ -105,6 +112,7 @@ def _eval_normalize(x: np.ndarray, state: BatchNormState, correction=None, out=N
     """``bn_test_forward`` writing into ``out`` when given (``out=x``: in place)."""
     if state.n_batches == 0:
         raise ValueError("running statistics are unpopulated; run training batches first")
+    _check_width(x, state)
     var = state.running_var
     if correction is not None:
         tag = correction[0]
@@ -434,15 +442,16 @@ def cross_normalization_curve(
     eps, of which only the held element's row is computed.  The held
     element's leave-one-out statistics do not depend on it, so the mean
     output is exactly affine in the grid value.  Grid points use
-    independent draws.
+    independent draws.  ``batch_size`` must be at least 3.
     """
+    if batch_size < 3:
+        raise ValueError(f"cross-normalization needs a batch of at least 3, got batch_size {batch_size}")
     _check_budget("n_mc", n_mc)
     draw = standardized_sampler("gaussian")
     grid = _check_grid(grid)
     gamma = np.ones(1)
     beta = np.zeros(1)
     means = np.empty_like(grid)
-    f_var = np.empty_like(grid)
     stderr = np.empty_like(grid)
     for k, x1 in enumerate(grid):
         outs = np.empty(n_mc)
@@ -452,7 +461,7 @@ def cross_normalization_curve(
             batch[0, :] = x1
             outs[done : done + m] = _cross_normalize_rows(batch, gamma, beta, 0.0, normalizer, 1)[0]
         means[k], stderr[k] = _estimate(outs)
-        f_var[k] = outs.var(ddof=1)
+    f_var = n_mc * stderr**2
     return NonlinearityCurve("gaussian", batch_size, grid, means, f_var, stderr)
 
 
@@ -594,7 +603,9 @@ def variance_shift(
     moments.  ``centered`` removes the mean from what the noise sees, which
     pins the dropout-a ratio at exactly 1/p for every row.  With
     ``n_mc`` > 0 the train variances are also simulated (the source must
-    then support sampling) and reported alongside.
+    then support sampling) and reported alongside.  Every row needs a
+    positive test variance, so a zero row, or a row in the covariance's
+    null space, is refused by index.
     """
     if placement not in ("dropout-a", "dropout-b"):
         raise ValueError("placement must be 'dropout-a' or 'dropout-b'")
@@ -608,6 +619,8 @@ def variance_shift(
     if W is None:
         if rng is None:
             raise ValueError("sampling weight rows requires a generator")
+        if n_rows < 1:
+            raise ValueError(f"n_rows must be at least 1, got {n_rows}")
         W = sample_sphere_rows(n_rows, mean.size, rng)
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[1] != mean.size:
@@ -616,6 +629,13 @@ def variance_shift(
     lam = _strength(keep_rate)
     second = cov if centered else cov + np.outer(mean, mean)
     var_test = np.einsum("nd,de,ne->n", W, cov, W)
+    # written as "not ..." so that a NaN fails too
+    bad = np.flatnonzero(~(var_test > 0.0))
+    if bad.size:
+        raise ValueError(
+            f"row {bad[0]} of W has test variance {float(var_test[bad[0]])!r}, not positive:"
+            " a zero row, or a row in the feature covariance's null space"
+        )
     if placement == "dropout-a":
         var_train = var_test + lam * np.einsum("nd,de,ne->n", W, second, W)
     else:

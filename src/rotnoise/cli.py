@@ -2,7 +2,7 @@
 
 Every experiment is a subcommand.  Parameters come from an optional JSON
 config file plus command-line flags (flags win); a key outside its range
-is rejected by name before anything runs.  Each runner returns its
+is rejected by name before anything is written.  Each runner returns its
 (file name, header, rows) tables and writes nothing; ``run`` writes the
 CSVs and a manifest echoing the merged config, the seed and library
 versions into the output directory only after the runner has returned, so
@@ -74,10 +74,12 @@ def _bool(text) -> bool:
 
 
 # parameter schema per subcommand: name -> (converter, default, help[, bound]);
-# the optional bound is the least allowed value, or "positive" (and finite);
-# only keys the library does not already reject by name carry one, which
-# includes the float budgets: int() fails on inf or NaN before the library
-# sees them
+# the optional bound is the least allowed value, or "positive" (and finite).
+# A value passed to the library as it is carries none: the library call
+# that receives it rejects it by name.  Only values the CLI builds or
+# converts itself carry one: angle-demo's classes x margin_dim weight
+# matrix, linreg's trials loop, the grids, and the float budgets, which
+# int() would fail on at inf or NaN before the library sees them
 _GLOBAL = {
     "seed": (int, 0, "random seed recorded in the manifest"),
     "out": (str, None, "output directory (default: $ROTNOISE_OUTDIR or ./rotnoise-results)"),
@@ -91,7 +93,7 @@ _SCHEMAS: dict[str, dict] = {
         "realizations": (int, 100, "realizations for the exact checks"),
     },
     "coadapt": {
-        "dim": (int, 8, "feature dimension", 2),
+        "dim": (int, 8, "feature dimension"),
         "rho": (float, 0.5, "equicorrelation of the Gaussian source"),
         "keep_rate": (float, 0.8, "matched keep rate"),
         "samples": (float, 1e6, "Monte-Carlo sample count", "positive"),
@@ -114,7 +116,7 @@ _SCHEMAS: dict[str, dict] = {
     },
     "var-shift": {
         "dim": (int, 64, "feature dimension"),
-        "rows": (int, 256, "weight rows sampled on the sphere", 1),
+        "rows": (int, 256, "weight rows sampled on the sphere"),
         "keep_rate": (float, 0.5, "dropout keep rate"),
         "source": (str, "relu-random", "relu-random | relu-equicorr | gaussian-equicorr"),
         "rho": (float, 0.3, "correlation parameter of the equicorrelated sources"),
@@ -135,7 +137,7 @@ _SCHEMAS: dict[str, dict] = {
         "grid_step": (float, 0.05, "grid spacing", "positive"),
     },
     "cn-check": {
-        "batch": (int, 8, "batch size", 3),
+        "batch": (int, 8, "batch size"),
         "samples": (float, 2e5, "draws per grid point", "positive"),
         "grid_max": (float, 3.0, "grid half-width", "positive"),
         "points": (int, 13, "grid points"),
@@ -152,9 +154,9 @@ _SCHEMAS: dict[str, dict] = {
         "seeds": (int, 5, "paired seeds"),
         "keep_rate": (float, 0.8, "equivalent keep rate of the rotation op"),
         "width": (int, 256, "hidden width"),
-        "n_train": (int, 200, "training set size", 2),
-        "record_every": (int, 1, "record accuracy every k epochs (0: the gap window only)", 0),
-        "gap_window": (int, 10, "epochs averaged into the reported gap", 1),
+        "n_train": (int, 200, "training set size"),
+        "record_every": (int, 1, "record accuracy every k epochs (0: the gap window only)"),
+        "gap_window": (int, 10, "epochs averaged into the reported gap"),
     },
 }
 

@@ -54,10 +54,6 @@ class CovStats:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
 
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
 
 def _coadaptation_of(cov: np.ndarray) -> float:
     trace = float(np.trace(cov))

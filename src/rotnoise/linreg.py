@@ -21,7 +21,7 @@ import numpy as np
 
 from .coadapt import _noise_moment
 from .rotation import _BLOCK, AngleDistribution, BatchRotation, Estimate, _check_budget, _estimate
-from .rotation import _strength, _typical_angle, sample_batch_rotation
+from .rotation import _finite, _strength, sample_batch_rotation, second_moment_of_tangent
 
 __all__ = [
     "RegressionProblem",
@@ -248,23 +248,38 @@ def margin_flip_curve(
     within their plane from the bisector (margin 0) toward the nearer
     weight; the margin is the angular gap between the two nearest weights
     as seen from the input.  Margins span [0, 1.5 * scale] where scale is
-    the typical rotation angle of ``angles``.  Returns 20 rows of
-    (margin, flip_rate, stderr).
+    arctan(sqrt(E[tan(theta)^2])), the angle of the root-mean-square
+    tangent of ``angles``.  Returns 20 rows of (margin, flip_rate, stderr).
+
+    ``W`` must be finite and 2-D with at least 2 rows and 2 columns, and
+    hold no zero row; its nearest pair must be neither antiparallel nor
+    parallel, so that it spans a plane with a bisector.
     """
-    W = np.asarray(W, dtype=np.float64)
-    W = W / np.linalg.norm(W, axis=1, keepdims=True)
-    m = W.shape[0]
-    dots = W @ W.T - 2.0 * np.eye(m)
+    W = _finite("W", W)
+    if W.ndim != 2 or min(W.shape) < 2:
+        raise ValueError(f"W must be 2-D with at least 2 rows and 2 columns, got shape {W.shape}")
+    norms = np.linalg.norm(W, axis=1, keepdims=True)
+    if not norms.all():
+        raise ValueError(f"row {np.flatnonzero(norms == 0.0)[0]} of W is zero")
+    W = W / norms
+    dots = W @ W.T
+    np.fill_diagonal(dots, -np.inf)
     a, b = np.unravel_index(np.argmax(dots), dots.shape)
     wa, wb = W[a], W[b]
 
     bisector = wa + wb
-    bisector /= np.linalg.norm(bisector)
+    bisector_norm = np.linalg.norm(bisector)
+    if bisector_norm == 0.0:
+        raise ValueError(f"rows {a} and {b} of W, its nearest pair, are antiparallel: they have no bisector")
+    bisector /= bisector_norm
     inplane = wa - wb
     inplane -= (inplane @ bisector) * bisector
-    inplane /= np.linalg.norm(inplane)
+    inplane_norm = np.linalg.norm(inplane)
+    if inplane_norm == 0.0:
+        raise ValueError(f"rows {a} and {b} of W, its nearest pair, are parallel: they span no plane")
+    inplane /= inplane_norm
 
-    margins = np.linspace(0.0, 1.5 * _typical_angle(angles), 20)
+    margins = np.linspace(0.0, 1.5 * np.arctan(np.sqrt(second_moment_of_tangent(angles))), 20)
     rows = np.empty((margins.size, 3))
     for k, margin in enumerate(margins):
         # rotating by margin/2 toward w_a widens the angular gap to margin

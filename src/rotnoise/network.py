@@ -104,6 +104,11 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.gap_window < 1:
             raise ValueError(f"gap_window must be at least 1, got {self.gap_window}")
+        # fewer than 2 training rows make no batch, so train would take no step
+        if self.n_train < 2:
+            raise ValueError(f"n_train must be at least 2, got {self.n_train}")
+        if self.n_val < 1:
+            raise ValueError(f"n_val must be at least 1, got {self.n_val}")
         if self.batch_size < 2:
             raise ValueError("batch size must be at least 2 for batch statistics")
 
@@ -334,9 +339,19 @@ def build_network(input_dim: int, hidden: list[LayerSpec], n_classes: int, rng) 
 
 
 def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient with respect to the logits."""
+    """Mean cross-entropy and its gradient with respect to the logits.
+
+    ``labels`` are integers of shape (n,) in 0..k-1 for (n, k) logits.
+    """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
+    if labels.shape != logits.shape[:1] or labels.dtype.kind not in "iu":
+        raise ValueError(
+            f"labels must be integers of shape {logits.shape[:1]}, got {labels.dtype} of shape {labels.shape}"
+        )
+    k = logits.shape[1]
+    if labels.size and not (0 <= labels.min() and labels.max() < k):
+        raise ValueError(f"labels must lie in 0..{k - 1}, got {labels.min()}..{labels.max()}")
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     n = logits.shape[0]
@@ -420,8 +435,12 @@ def train(
     if record_every < 0:
         raise ValueError(f"record_every must be at least 0, got {record_every}")
     _finite("x_train", x_train)
+    if len(y_train) != len(x_train):
+        raise ValueError(f"y_train holds {len(y_train)} labels for the {len(x_train)} rows of x_train")
     if x_val is not None:
         _finite("x_val", x_val)
+        if len(y_val) != len(x_val):
+            raise ValueError(f"y_val holds {len(y_val)} labels for the {len(x_val)} rows of x_val")
     params = model.params()
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     n = x_train.shape[0]

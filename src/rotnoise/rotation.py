@@ -132,15 +132,6 @@ def second_moment_of_tangent(dist: AngleDistribution) -> float:
     return float(np.tan(width) / width - 1.0)
 
 
-def _typical_angle(dist: AngleDistribution) -> float:
-    """A typical |theta|: the width, the fixed angle's size, or arctan(sigma)."""
-    if dist.kind == "uniform-angle":
-        return dist.parameter
-    if dist.kind == "fixed":
-        return abs(dist.parameter)
-    return float(np.arctan(dist.parameter))
-
-
 def _strength(keep_rate: float) -> float:
     """The noise strength lam = (1 - p) / p of a keep rate p in (0, 1]."""
     if not 0.0 < keep_rate <= 1.0:

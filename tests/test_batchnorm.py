@@ -179,6 +179,19 @@ def test_test_forward_leaves_input_unchanged(correction):
     assert not np.shares_memory(out, x)
 
 
+@pytest.mark.parametrize("x_width, state_width", [(1, 3), (5, 1)])
+def test_normalizations_name_a_width_other_than_the_state(x_width, state_width):
+    state = BatchNormState.initial(state_width)
+    trained = BatchNormState.initial(state_width)
+    bn_train_forward(np.ones((2, state_width)), trained)
+    x = np.ones((8, x_width))
+    message = re.escape(f"x of shape (8, {x_width}) does not have the state's width {state_width}")
+    for call in (lambda: bn_train_forward(x, state), lambda: bn_test_forward(x, trained)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert state.n_batches == 0 and state.running_mean.shape == (state_width,)
+
+
 @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0])
 def test_state_rejects_bad_eps(eps):
     with pytest.raises(ValueError, match="eps"):
@@ -591,6 +604,15 @@ def test_curves_reject_a_bad_grid_before_drawing(grid, message):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("batch_size", [0, 1, 2])
+def test_cross_normalization_curve_needs_three_before_drawing(batch_size):
+    rng = np.random.default_rng(42)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"batch of at least 3, got batch_size {batch_size}"):
+        cross_normalization_curve(batch_size, rng, np.zeros(3), n_mc=100)
+    assert rng.bit_generator.state == before
+
+
 # ---------------------------------------------------------------------------
 # polynomial correction
 
@@ -912,3 +934,28 @@ def test_variance_shift_validation():
     for W in (np.ones(4), np.ones((3, 5)), np.ones((2, 3, 4))):
         with pytest.raises(ValueError, match=r"is not \(n_rows, 4\), the source dimension"):
             variance_shift("dropout-a", False, 0.5, relu_features(4), W=W)
+
+
+@pytest.mark.parametrize("n_rows", [0, -1])
+def test_variance_shift_needs_a_row_before_drawing(n_rows):
+    rng = np.random.default_rng(28)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"n_rows must be at least 1, got {n_rows}"):
+        variance_shift("dropout-a", False, 0.5, relu_features(4), n_rows=n_rows, rng=rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("placement", ["dropout-a", "dropout-b"])
+def test_variance_shift_names_a_row_without_test_variance(placement):
+    # a zero row, checked before the Monte-Carlo draws
+    rng = np.random.default_rng(29)
+    before = rng.bit_generator.state
+    w = np.eye(4)[:3].copy()
+    w[1] = 0.0
+    with pytest.raises(ValueError, match=r"row 1 of W has test variance 0\.0, not positive"):
+        variance_shift(placement, False, 0.5, relu_features(4), W=w, n_mc=100, rng=rng)
+    assert rng.bit_generator.state == before
+    # a row in the null space of a singular covariance
+    singular = SimpleNamespace(mean=np.ones(3), cov=np.diag([1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match=r"row 2 of W has test variance 0\.0, not positive"):
+        variance_shift(placement, False, 0.5, singular, W=np.eye(3))

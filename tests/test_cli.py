@@ -55,12 +55,12 @@ def test_bad_value_type_is_named():
 
 
 @pytest.mark.parametrize(
-    "file_cfg, flag_cfg", [({"rows": 0}, {}), ({}, {"rows": 0}), ({"rows": 0}, {"rows": None})]
+    "file_cfg, flag_cfg", [({"trials": 0}, {}), ({}, {"trials": 0}), ({"trials": 0}, {"trials": None})]
 )
 def test_out_of_range_value_is_named_from_file_or_flag(file_cfg, flag_cfg):
-    with pytest.raises(ConfigError, match="'rows' must be at least 1, got 0"):
-        merge_config("var-shift", file_cfg, flag_cfg)
-    assert merge_config("var-shift", {"rows": 0}, {"rows": 1})["rows"] == 1
+    with pytest.raises(ConfigError, match="'trials' must be at least 1, got 0"):
+        merge_config("linreg", file_cfg, flag_cfg)
+    assert merge_config("linreg", {"trials": 0}, {"trials": 1})["trials"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -257,20 +257,23 @@ def test_degenerate_monte_carlo_budget_exits_2(tmp_path, capsys, argv, csv_name)
         (["linreg", "--trials", "-1"], "conditioning.csv", "'trials' must be at least 1"),
         (["train-demo", "--seeds", "0"], "train_demo.csv", "at least one seed"),
         (["train-demo", "--epochs", "0"], "train_demo.csv", "epochs must be at least 1"),
-        (["coadapt", "--dim", "1"], "coadaptation.csv", "'dim' must be at least 2"),
+        (["coadapt", "--dim", "1"], "coadaptation.csv", "needs dim of at least 2, got 1"),
         (["angle-demo", "--classes", "0"], "dropout_angle.csv", "'classes' must be at least 2"),
         (["angle-demo", "--margin-dim", "1"], "dropout_angle.csv", "'margin_dim' must be at least 2"),
-        (["var-shift", "--rows", "0"], "variance_shift.csv", "'rows' must be at least 1"),
-        (["cn-check", "--batch", "2"], "cn_linearity.csv", "'batch' must be at least 3"),
+        (["var-shift", "--rows", "0"], "variance_shift.csv", "n_rows must be at least 1, got 0"),
+        (["cn-check", "--batch", "2"], "cn_linearity.csv", "batch of at least 3, got batch_size 2"),
         (["cn-check", "--grid-max", "0"], "cn_linearity.csv", "'grid_max' must be positive"),
-        (["train-demo", "--n-train", "0"], "train_demo.csv", "'n_train' must be at least 2"),
-        (["train-demo", "--record-every", "-1"], "train_demo.csv", "'record_every' must be at least 0"),
-        (["train-demo", "--gap-window", "0"], "train_demo.csv", "'gap_window' must be at least 1"),
+        (["train-demo", "--n-train", "0"], "train_demo.csv", "n_train must be at least 2, got 0"),
+        (["train-demo", "--record-every", "-1"], "train_demo.csv", "record_every must be at least 0, got -1"),
+        (["train-demo", "--gap-window", "0"], "train_demo.csv", "gap_window must be at least 1, got 0"),
         (["var-shift", "--dim", "0", "--rows", "4"], "variance_shift.csv", "with positive trace"),
         (["cn-check", "--grid-max", "inf", "--samples", "2e3"], "cn_linearity.csv",
          "'grid_max' must be positive and finite"),
         (["bn-curve", "--grid-max", "inf"], "bn_curve.csv", "'grid_max' must be positive and finite"),
         (["bn-curve", "--grid-step", "inf"], "bn_curve.csv", "'grid_step' must be positive and finite"),
+        (["var-shift", "--rows", "-1"], "variance_shift.csv", "n_rows must be at least 1, got -1"),
+        (["cn-check", "--batch", "-1"], "cn_linearity.csv", "batch of at least 3, got batch_size -1"),
+        (["train-demo", "--n-train", "-1"], "train_demo.csv", "n_train must be at least 2, got -1"),
     ],
 )
 def test_degenerate_setting_exits_2(tmp_path, capsys, argv, csv_name, message):
@@ -279,6 +282,31 @@ def test_degenerate_setting_exits_2(tmp_path, capsys, argv, csv_name, message):
     assert message in capsys.readouterr().err
     assert not (tmp_path / csv_name).exists()
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("coadapt", "dim", 1, "needs dim of at least 2, got 1"),
+        ("var-shift", "rows", 0, "n_rows must be at least 1, got 0"),
+        ("cn-check", "batch", 2, "batch of at least 3, got batch_size 2"),
+        ("train-demo", "n_train", 1, "n_train must be at least 2, got 1"),
+        ("train-demo", "record_every", -1, "record_every must be at least 0, got -1"),
+        ("train-demo", "gap_window", 0, "gap_window must be at least 1, got 0"),
+    ],
+)
+def test_value_the_library_refuses_is_named_from_the_config_file(
+    tmp_path, capsys, command, key, value, message
+):
+    # these keys carry no bound of their own: the library call that receives
+    # the value names it
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    code = run([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -338,6 +338,28 @@ def test_flip_rate_on_bisector_is_half():
     assert rate == pytest.approx(0.5, abs=0.02)
 
 
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        (np.zeros((0, 3)), r"at least 2 rows and 2 columns, got shape \(0, 3\)"),
+        (np.ones((1, 3)), r"at least 2 rows and 2 columns, got shape \(1, 3\)"),
+        (np.ones((3, 1)), r"at least 2 rows and 2 columns, got shape \(3, 1\)"),
+        (np.ones(3), r"at least 2 rows and 2 columns, got shape \(3,\)"),
+        ([[1.0, 0.0], [np.inf, 1.0]], "W must be finite"),
+        ([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], "row 1 of W is zero"),
+        ([[1.0, 2.0], [-1.0, -2.0]], "rows 0 and 1 of W, its nearest pair, are antiparallel"),
+        ([[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]], "rows 0 and 2 of W, its nearest pair, are parallel"),
+    ],
+    ids=["no-rows", "one-row", "one-column", "1-D", "inf", "zero-row", "antiparallel", "parallel"],
+)
+def test_flip_curve_rejects_degenerate_weights_before_drawing(w, message):
+    rng = np.random.default_rng(15)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        margin_flip_curve(w, gaussian_tangent(0.5), 100, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_flip_curve_monotone_within_noise():
     rng = np.random.default_rng(14)
     w = np.random.default_rng(1).standard_normal((6, 24))

@@ -95,6 +95,30 @@ def test_train_config_needs_an_epoch(epochs):
         TrainConfig(epochs=epochs)
 
 
+@pytest.mark.parametrize("field, value, least", [("n_train", 1, 2), ("n_train", -3, 2), ("n_val", 0, 1)])
+def test_train_config_needs_data_to_train_and_validate_on(field, value, least):
+    # one training row makes no batch of two, and no validation row makes a
+    # NaN accuracy; either way train_and_report would report a gap
+    with pytest.raises(ValueError, match=f"{field} must be at least {least}, got {value}"):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([0, 1, -1], r"labels must lie in 0\.\.1, got -1\.\.1"),  # -1 would wrap to class 1
+        ([0, 5, 1], r"labels must lie in 0\.\.1, got 0\.\.5"),
+        ([0.0, 1.0, 1.0], r"labels must be integers of shape \(3,\), got float64 of shape \(3,\)"),
+        ([0, 1], r"labels must be integers of shape \(3,\), got int64 of shape \(2,\)"),
+        ([[0], [1], [1]], r"labels must be integers of shape \(3,\), got int64 of shape \(3, 1\)"),
+    ],
+    ids=["negative", "too-large", "float", "too-few", "2-D"],
+)
+def test_softmax_cross_entropy_names_bad_labels(labels, message):
+    with pytest.raises(ValueError, match=message):
+        softmax_cross_entropy(np.zeros((3, 2)), np.asarray(labels))
+
+
 def test_train_and_report_needs_a_seed():
     with pytest.raises(ValueError, match="at least one seed"):
         train_and_report([("baseline", None)], TrainConfig(epochs=1), hidden_widths=(4,), seeds=())
@@ -572,6 +596,20 @@ def test_train_needs_both_halves_of_the_validation_set(given, missing):
     val = {"x_val": x_va} if given == "x_val" else {"y_val": y_va}
     with pytest.raises(ValueError, match=f"{missing} is missing"):
         train(model, x_tr, y_tr, TrainConfig(epochs=1, batch_size=8), rng, **val)
+    assert rng.bit_generator.state == before
+    assert held_buffers(model) == []
+
+
+@pytest.mark.parametrize("name", ["y_train", "y_val"])
+def test_train_needs_a_label_per_row(name):
+    model, (x_tr, y_tr, x_va, y_va) = overfit_setup("rotation-bn")
+    labels = {"y_train": y_tr, "y_val": y_va}
+    labels[name] = np.append(labels[name], 0)
+    rows = len(x_tr) if name == "y_train" else len(x_va)
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"{name} holds {rows + 1} labels for the {rows} rows"):
+        train(model, x_tr, labels["y_train"], TrainConfig(epochs=1, batch_size=8), rng, x_va, labels["y_val"])
     assert rng.bit_generator.state == before
     assert held_buffers(model) == []
 
