@@ -255,7 +255,7 @@ def standardized_sampler(dist: str):
 # nonlinearity of the train-mode statistic
 
 
-# companion rows drawn at once by mc_nonlinearity_curve
+# companion rows on which mc_nonlinearity_curve evaluates its grid at once
 _CURVE_BLOCK = 100_000
 # companion values drawn at once, and per block of noise_budget's outer points
 _BUDGET_ELEMENTS = 2**17
@@ -281,11 +281,19 @@ def _check_grid(grid) -> np.ndarray:
 def _companion_moments(rows: int, batch_size: int, draw, rng) -> tuple[np.ndarray, np.ndarray]:
     """Mean and 1/n variance of each of ``rows`` rows of B - 1 companions.
 
-    The companions are drawn in whole rows, about ``_BUDGET_ELEMENTS``
-    values at a time, which takes the same random stream as one
-    ``(rows, B - 1)`` draw.  A row's moments depend only on that row, so
-    neither result depends on the chunk size.  The arrays ``draw`` returns
-    are never written.
+    For the Gaussian source (``draw is _gaussian``; a wrapped sampler does
+    not count) the moments are drawn directly.  By Cochran's theorem the
+    mean m and the 1/n variance s^2 of w = B - 1 iid N(0, 1) values are
+    independent, with m ~ N(0, 1/w) and w s^2 ~ chi-square(w - 1).  So the
+    call takes ``rows`` standard normals for m, then ``rows`` chi-square
+    variates for s^2: two variates per row, whatever the batch size.  At
+    w = 1, s^2 is exactly 0 and only the normals are drawn.
+
+    Every other sampler has its companions drawn in whole rows, about
+    ``_BUDGET_ELEMENTS`` values at a time, which takes the same random
+    stream as one ``(rows, B - 1)`` draw.  A row's moments depend only on
+    that row, so neither result depends on the chunk size.  The arrays
+    ``draw`` returns are never written.
 
     ``np.mean(z, axis=-1)`` runs numpy's reduction loop once per row, which
     costs about as much as the row's sums when rows are short.  Below
@@ -300,6 +308,14 @@ def _companion_moments(rows: int, batch_size: int, draw, rng) -> tuple[np.ndarra
     keep ``np.mean(z, axis=-1)``, and with it numpy's pairwise order.
     """
     width = batch_size - 1
+    if draw is _gaussian:
+        m = rng.standard_normal(rows)
+        m *= np.sqrt(1.0 / width)
+        if width == 1:
+            return m, np.zeros(rows)
+        s2 = rng.chisquare(width - 1, rows)
+        s2 /= width
+        return m, s2
     step = max(1, _BUDGET_ELEMENTS // width)
     # chunk buffers before m and s2: freed, they leave a hole below them, not
     # a heap top that malloc hands back to the system and faults in per call
@@ -353,8 +369,12 @@ def train_statistic_samples(
     is evaluated through the leave-one-out identity of ``_normalized_value``.
     On the standardized scale the test-mode output of ``x`` is ``x``
     itself, so these draws are directly comparable to the abscissa.
+    The companions' moments come from one ``_companion_moments`` call: for
+    the Gaussian source they take ``n`` normals and then ``n`` chi-square
+    variates from ``rng`` (the normals only at B = 2); any other
     ``draw(shape, rng)`` is called on chunks of whole rows, taking the
-    random stream of one ``(n, B - 1)`` draw; what it returns is only read.
+    random stream of one ``(n, B - 1)`` draw, and what it returns is only
+    read.
     """
     _check_batch_size(batch_size)
     m, s2 = _companion_moments(n, batch_size, draw, rng)
@@ -389,29 +409,33 @@ def mc_nonlinearity_curve(
 
     The companions' mean and variance do not depend on the held point, so
     every grid point is evaluated against the same ``n_mc`` companion
-    draws (common random numbers).  Only their per-row moments are kept,
-    in blocks of ``_CURVE_BLOCK`` rows whose per-point means and sums of
-    squared deviations are merged exactly, so memory does not grow with
-    the batch size.  ``f_var`` and ``stderr`` are per point and marginal:
-    each point's estimate is unbiased with that standard error, but the
-    errors of different grid points are correlated, so their stderrs do
-    not combine as if the points were independent.  The random draws do
-    not depend on the grid.
+    draws (common random numbers).  One ``_companion_moments`` call draws
+    them all, taking the same stream as ``train_statistic_samples`` with
+    ``n = n_mc``, and only their per-row moments are kept: 16 bytes per
+    draw, whatever the batch size.  The grid is evaluated on blocks of
+    ``_CURVE_BLOCK`` rows, whose per-point means and sums of squared
+    deviations are merged exactly.  ``f_var`` and ``stderr`` are per point
+    and marginal: each point's estimate is unbiased with that standard
+    error, but the errors of different grid points are correlated, so
+    their stderrs do not combine as if the points were independent.  The
+    random draws do not depend on the grid.
     """
     draw = standardized_sampler(dist)
     _check_batch_size(batch_size)
     _check_budget("n_mc", n_mc)
     grid = default_poly_grid() if grid is None else _check_grid(grid)
+    m_all, s2_all = _companion_moments(n_mc, batch_size, draw, rng)
     mean = np.zeros_like(grid)
     sq_dev = np.zeros_like(grid)  # sums of squared deviations from the mean
-    done = 0
-    while done < n_mc:
-        rows = min(_CURVE_BLOCK, n_mc - done)
-        m, s2 = _companion_moments(rows, batch_size, draw, rng)
-        f = np.empty(rows)
-        dev = np.empty(rows)
-        block_mean = np.empty_like(grid)
-        block_sq_dev = np.empty_like(grid)
+    f_buf = np.empty(min(_CURVE_BLOCK, n_mc))
+    dev_buf = np.empty(f_buf.size)
+    block_mean = np.empty_like(grid)
+    block_sq_dev = np.empty_like(grid)
+    for done in range(0, n_mc, _CURVE_BLOCK):
+        m = m_all[done : done + _CURVE_BLOCK]
+        s2 = s2_all[done : done + _CURVE_BLOCK]
+        rows = m.size
+        f, dev = f_buf[:rows], dev_buf[:rows]
         for k, x in enumerate(grid):
             _normalized_value(float(x), m, s2, batch_size, f, dev)
             block_mean[k] = f.mean()
@@ -422,7 +446,6 @@ def mc_nonlinearity_curve(
         delta = block_mean - mean
         mean += delta * (rows / total)
         sq_dev += block_sq_dev + delta**2 * (done * rows / total)
-        done = total
     f_var = sq_dev / (n_mc - 1)
     return NonlinearityCurve(dist, batch_size, grid, mean, f_var, np.sqrt(f_var) / np.sqrt(n_mc))
 
@@ -520,10 +543,14 @@ def noise_budget(
     draws estimate the conditional variance of the normalized value with an
     unbiased sample variance.  Returns its ``Estimate`` over the outer draws.
 
-    The inner companions of a block of k outer points are reduced to the
-    moments of k * n_inner rows by ``_companion_moments``, which takes the
-    same random stream as one draw per point, so the result for a given
-    generator state depends on neither the block nor the chunk size.
+    The outer points are drawn first.  Each point's n_inner companion rows
+    are then reduced to moments by their own ``_companion_moments`` call,
+    as ``train_statistic_samples`` does for one point (for the Gaussian
+    source: n_inner normals, then n_inner chi-square variates), and the
+    points are normalized in blocks of about ``_BUDGET_ELEMENTS``
+    companions.  So for a given generator state the result equals the
+    per-point ``train_statistic_samples`` reference, whatever the block
+    and chunk sizes.
     """
     draw = standardized_sampler(dist)
     _check_batch_size(batch_size)
@@ -532,14 +559,13 @@ def noise_budget(
     xs = draw(n_outer, rng)
     v = np.empty(n_outer)
     step = max(1, _BUDGET_ELEMENTS // (n_inner * (batch_size - 1)))
-    out = np.empty((min(step, n_outer), n_inner))
-    scratch = np.empty(out.shape)
+    m, s2, out, scratch = np.empty((4, min(step, n_outer), n_inner))
     for start in range(0, n_outer, step):
         x = xs[start : start + step, None]
         k = x.shape[0]
-        m, s2 = _companion_moments(k * n_inner, batch_size, draw, rng)
-        m, s2 = m.reshape(-1, n_inner), s2.reshape(-1, n_inner)
-        f = _normalized_value(x, m, s2, batch_size, out[:k], scratch[:k])
+        for i in range(k):
+            m[i], s2[i] = _companion_moments(n_inner, batch_size, draw, rng)
+        f = _normalized_value(x, m[:k], s2[:k], batch_size, out[:k], scratch[:k])
         v[start : start + step] = f.var(axis=-1, ddof=1)
     return _estimate(v)
 
@@ -605,7 +631,8 @@ def variance_shift(
     ``n_mc`` > 0 the train variances are also simulated (the source must
     then support sampling) and reported alongside.  Every row needs a
     positive test variance, so a zero row, or a row in the covariance's
-    null space, is refused by index.
+    null space, is refused by index; a given ``W`` with no rows is refused
+    too.
     """
     if placement not in ("dropout-a", "dropout-b"):
         raise ValueError("placement must be 'dropout-a' or 'dropout-b'")
@@ -625,6 +652,8 @@ def variance_shift(
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[1] != mean.size:
         raise ValueError(f"W of shape {W.shape} is not (n_rows, {mean.size}), the source dimension")
+    if len(W) == 0:
+        raise ValueError(f"W of shape {W.shape} has no rows; it needs at least one")
 
     lam = _strength(keep_rate)
     second = cov if centered else cov + np.outer(mean, mean)

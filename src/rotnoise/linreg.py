@@ -208,6 +208,14 @@ def dropout_rotation_angle(
     return _estimate(cos2)
 
 
+def _unit_rows(W: np.ndarray) -> np.ndarray:
+    """The rows of ``W`` scaled to unit length; a zero row is refused by index."""
+    norms = np.linalg.norm(W, axis=1, keepdims=True)
+    if not norms.all():
+        raise ValueError(f"row {np.flatnonzero(norms == 0.0)[0]} of W is zero")
+    return W / norms
+
+
 def classification_flip_rate(
     W: np.ndarray,
     x: np.ndarray,
@@ -218,7 +226,8 @@ def classification_flip_rate(
     """Probability that rotation noise changes the nearest-weight decision.
 
     Weight rows are normalized to unit length so the decision is purely
-    angular.  Returns the flip rate and its binomial standard error.
+    angular, and a zero row is refused before drawing.  Returns the flip
+    rate and its binomial standard error.
     """
     W = np.asarray(W, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 2:
@@ -227,7 +236,7 @@ def classification_flip_rate(
     if x.shape != W.shape[1:]:
         raise ValueError(f"x of shape {x.shape} does not match the width {W.shape[1]} of W")
     _check_budget("n_samples", n_samples)
-    W = W / np.linalg.norm(W, axis=1, keepdims=True)
+    W = _unit_rows(W)
     base = int(np.argmax(W @ x))
     batch = sample_batch_rotation(n_samples, x.size, angles, rng)
     scores = batch.apply(np.broadcast_to(x, (n_samples, x.size))) @ W.T
@@ -258,10 +267,7 @@ def margin_flip_curve(
     W = _finite("W", W)
     if W.ndim != 2 or min(W.shape) < 2:
         raise ValueError(f"W must be 2-D with at least 2 rows and 2 columns, got shape {W.shape}")
-    norms = np.linalg.norm(W, axis=1, keepdims=True)
-    if not norms.all():
-        raise ValueError(f"row {np.flatnonzero(norms == 0.0)[0]} of W is zero")
-    W = W / norms
+    W = _unit_rows(W)
     dots = W @ W.T
     np.fill_diagonal(dots, -np.inf)
     a, b = np.unravel_index(np.argmax(dots), dots.shape)

@@ -298,8 +298,8 @@ def test_curve_is_odd_and_monotone_for_gaussian():
     n_mc, b = 60_000, 8
     grid = np.arange(-3.0, 3.0 + 1e-9, 0.25)
     curve = mc_nonlinearity_curve("gaussian", b, np.random.default_rng(11), grid=grid, n_mc=n_mc)
-    z = standardized_sampler("gaussian")((n_mc, b - 1), np.random.default_rng(11))
-    f = train_statistic(grid[:, None], z)
+    draw = standardized_sampler("gaussian")
+    f = np.array([train_statistic_samples(x, b, n_mc, draw, np.random.default_rng(11)) for x in grid])
     np.testing.assert_allclose(f.mean(axis=1), curve.f_expect, rtol=1e-12, atol=1e-15)
     sym = curve.f_expect + curve.f_expect[::-1]
     err = (f + f[::-1]).std(axis=1, ddof=1) / np.sqrt(n_mc)
@@ -333,9 +333,14 @@ def test_curve_blocks_match_one_shot_reference(dist, b):
     n_mc = 2 * _CURVE_BLOCK + 12_345
     grid = np.array([-2.7, -0.4, 0.0, 1.3])
     curve = mc_nonlinearity_curve(dist, b, np.random.default_rng(30), grid=grid, n_mc=n_mc)
-    z = standardized_sampler(dist)((n_mc, b - 1), np.random.default_rng(30))
+    draw = standardized_sampler(dist)
+    # the Gaussian rows' moments are drawn directly, not their companions
+    z = None if dist == "gaussian" else draw((n_mc, b - 1), np.random.default_rng(30))
     for k, x in enumerate(grid):
-        f = train_statistic(x, z)
+        if z is None:
+            f = train_statistic_samples(x, b, n_mc, draw, np.random.default_rng(30))
+        else:
+            f = train_statistic(x, z)
         np.testing.assert_allclose(curve.f_expect[k], f.mean(), rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(curve.f_var[k], f.var(ddof=1), rtol=1e-12)
         np.testing.assert_allclose(curve.stderr[k], f.std(ddof=1) / np.sqrt(n_mc), rtol=1e-12)
@@ -348,6 +353,57 @@ def test_curve_random_draws_do_not_depend_on_the_grid():
         mc_nonlinearity_curve("gaussian", 8, rng, grid=grid, n_mc=5_000)
         states.append(rng.bit_generator.state)
     assert states[0] == states[1]
+
+
+# ---------------------------------------------------------------------------
+# Gaussian companion moments drawn directly
+
+
+def wrapped_gaussian(size, rng):
+    """The Gaussian sampler behind a wrapper, which takes the companion path."""
+    return batchnorm._gaussian(size, rng)
+
+
+@pytest.mark.parametrize("w", [1, 2, 7, 15])
+def test_gaussian_moments_follow_cochrans_law(w):
+    # m ~ N(0, 1/w) and w s^2 ~ chi-square(w - 1), independent.  Each moment
+    # is a mean of iid values with its own stderr; the five 5-sigma checks
+    # fail by chance with probability at most 2.9e-6 (two at w = 1, where
+    # s^2 is exactly 0)
+    n = 200_000
+    m, s2 = batchnorm._companion_moments(n, w + 1, standardized_sampler("gaussian"), np.random.default_rng(43))
+    samples = [m, m**2]
+    law = [0.0, 1.0 / w]
+    if w == 1:
+        np.testing.assert_array_equal(s2, 0.0)
+    else:
+        samples += [s2, (s2 - (w - 1) / w) ** 2, m * s2]
+        law += [(w - 1) / w, 2 * (w - 1) / w**2, 0.0]
+    estimates = np.array([_estimate(s) for s in samples])
+    assert_within_stderr(estimates[:, 0], np.array(law), estimates[:, 1], 5, label=f"w = {w}")
+
+
+def test_gaussian_noise_budget_agrees_with_the_companion_path(monkeypatch):
+    # one 4-sigma check on independent streams: false-failure rate 6.3e-5
+    fast = noise_budget(8, "gaussian", np.random.default_rng(44), n_outer=3000, n_inner=300)
+    monkeypatch.setitem(batchnorm.DISTRIBUTIONS, "gaussian", wrapped_gaussian)
+    slow = noise_budget(8, "gaussian", np.random.default_rng(45), n_outer=3000, n_inner=300)
+    assert_within_stderr(fast.value, slow.value, np.hypot(fast.stderr, slow.stderr), 4)
+
+
+def test_gaussian_pairs_take_the_normals_only():
+    # B = 2: one companion, so s^2 = 0 and the statistic is sign(x - m) up to
+    # the rounding of sqrt((x - m)^2 / 2); no chi-square variate is drawn
+    n, x = 10_000, 0.3
+    draw = standardized_sampler("gaussian")
+    rng = np.random.default_rng(46)
+    m, s2 = batchnorm._companion_moments(n, 2, draw, rng)
+    np.testing.assert_array_equal(s2, 0.0)
+    f = train_statistic_samples(x, 2, n, draw, np.random.default_rng(46))
+    np.testing.assert_allclose(f, np.sign(x - m), rtol=0, atol=2 * np.finfo(float).eps)
+    ref = np.random.default_rng(46)
+    np.testing.assert_array_equal(m, ref.standard_normal(n))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -942,6 +998,14 @@ def test_variance_shift_needs_a_row_before_drawing(n_rows):
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"n_rows must be at least 1, got {n_rows}"):
         variance_shift("dropout-a", False, 0.5, relu_features(4), n_rows=n_rows, rng=rng)
+    assert rng.bit_generator.state == before
+
+
+def test_variance_shift_names_a_given_w_without_rows():
+    rng = np.random.default_rng(47)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"W of shape \(0, 4\) has no rows"):
+        variance_shift("dropout-a", False, 0.5, relu_features(4), W=np.zeros((0, 4)), n_mc=100, rng=rng)
     assert rng.bit_generator.state == before
 
 

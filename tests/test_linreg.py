@@ -316,6 +316,15 @@ def test_flip_rate_names_an_input_of_another_width(x):
         classification_flip_rate(_two_weights(0.5), x, fixed_angle(0.0), 2, np.random.default_rng(0))
 
 
+def test_flip_rate_names_a_zero_row_before_drawing():
+    rng = np.random.default_rng(16)
+    before = rng.bit_generator.state
+    w = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    with pytest.raises(ValueError, match="row 1 of W is zero"):
+        classification_flip_rate(w, np.array([1.0, 0.0, 0.0]), gaussian_tangent(0.5), 100, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_flip_rate_zero_noise():
     rng = np.random.default_rng(12)
     w = _two_weights(0.5)
