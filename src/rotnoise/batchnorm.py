@@ -261,9 +261,6 @@ _CURVE_BLOCK = 100_000
 _BUDGET_ELEMENTS = 2**17
 # batches drawn at once by cross_normalization_curve
 _CN_CHUNK = 5000
-# companions per row from which _companion_moments reduces each row, not the
-# columns of a transposed copy
-_SWEEP_WIDTH = 32
 
 
 def _check_batch_size(batch_size: int) -> None:
@@ -291,21 +288,9 @@ def _companion_moments(rows: int, batch_size: int, draw, rng) -> tuple[np.ndarra
 
     Every other sampler has its companions drawn in whole rows, about
     ``_BUDGET_ELEMENTS`` values at a time, which takes the same random
-    stream as one ``(rows, B - 1)`` draw.  A row's moments depend only on
-    that row, so neither result depends on the chunk size.  The arrays
-    ``draw`` returns are never written.
-
-    ``np.mean(z, axis=-1)`` runs numpy's reduction loop once per row, which
-    costs about as much as the row's sums when rows are short.  Below
-    ``_SWEEP_WIDTH`` companions, each chunk is instead copied transposed
-    into scratch and reduced down its columns by ``np.mean(axis=0)``, which
-    adds one row of the copy at a time.  numpy reduces a lone column
-    pairwise instead, so a one-row chunk is copied twice side by side, and
-    every row is summed in one order whatever the chunk size.  Below 8
-    terms numpy's pairwise summation is that same sequential order, so the
-    moments equal ``np.mean`` of the row bit for bit; from 8 to 31
-    companions they differ from it by rounding only.  Rows of 32 or more
-    keep ``np.mean(z, axis=-1)``, and with it numpy's pairwise order.
+    stream as one ``(rows, B - 1)`` draw.  Each row's moments are
+    ``np.mean`` of that row bit for bit, so no bit depends on the chunk
+    size.  The arrays ``draw`` returns are never written.
     """
     width = batch_size - 1
     if draw is _gaussian:
@@ -320,25 +305,17 @@ def _companion_moments(rows: int, batch_size: int, draw, rng) -> tuple[np.ndarra
     # chunk buffers before m and s2: freed, they leave a hole below them, not
     # a heap top that malloc hands back to the system and faults in per call
     z = draw((min(step, rows), width), rng)
-    scratch = np.empty(max(z.size, 2 * width))
-    # a spare last slot for the second copy of a one-row chunk
-    m = np.empty(rows + 1)
-    s2 = np.empty(rows + 1)
+    scratch = np.empty(z.size)
+    m = np.empty(rows)
+    s2 = np.empty(rows)
     for lo in range(0, rows, step):
         hi = min(lo + step, rows)
         if lo:
             z = draw((hi - lo, width), rng)
-        if width < _SWEEP_WIDTH:
-            cols = max(hi - lo, 2)
-            t = scratch[: width * cols].reshape(width, cols)
-            np.copyto(t, z.T)
-            mean = np.mean(t, axis=0, out=m[lo : lo + cols])
-            np.mean(np.square(np.subtract(t, mean, out=t), out=t), axis=0, out=s2[lo : lo + cols])
-        else:
-            dev = np.subtract(z, np.mean(z, axis=-1, out=m[lo:hi])[:, None],
-                              out=scratch[: z.size].reshape(z.shape))
-            np.mean(np.square(dev, out=dev), axis=-1, out=s2[lo:hi])
-    return m[:rows], s2[:rows]
+        dev = np.subtract(z, np.mean(z, axis=-1, out=m[lo:hi])[:, None],
+                          out=scratch[: z.size].reshape(z.shape))
+        np.mean(np.square(dev, out=dev), axis=-1, out=s2[lo:hi])
+    return m, s2
 
 
 def _normalized_value(x, m, s2, batch_size: int, out, scratch):

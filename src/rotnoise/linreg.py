@@ -51,14 +51,14 @@ class RegressionProblem:
     lam: float
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
-        y = np.asarray(self.y, dtype=np.float64).ravel()
+        X = np.atleast_2d(_finite("X", self.X))
+        y = _finite("y", self.y).ravel()
         if X.shape[0] != y.size:
             raise ValueError("number of rows of X must match the target length")
         if X.shape[1] < 2:
             raise ValueError("rotation-regularized regression needs at least 2 features")
-        if self.lam < 0.0:
-            raise ValueError("noise strength must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError(f"noise strength lam must be nonnegative and finite, got {self.lam}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -177,7 +177,8 @@ def dropout_rotation_angle(
     Samples vectors with absolute-normal entries, applies a Bernoulli mask,
     and averages cos^2(x, masked x); concentration makes the mean approach
     the keep rate as the dimension grows.  All-zero masks (probability
-    p^0 ... vanishing for the sizes used here) are rejected and redrawn.
+    (1 - p)^D per vector, for keep rate p and dimension D) are rejected and
+    redrawn.
     """
     if dim < 2:
         raise ValueError("angle demo needs at least 2 dimensions")
@@ -226,13 +227,13 @@ def classification_flip_rate(
     """Probability that rotation noise changes the nearest-weight decision.
 
     Weight rows are normalized to unit length so the decision is purely
-    angular, and a zero row is refused before drawing.  Returns the flip
-    rate and its binomial standard error.
+    angular; a non-finite entry or a zero row is refused before drawing.
+    Returns the flip rate and its binomial standard error.
     """
-    W = np.asarray(W, dtype=np.float64)
+    W = _finite("W", W)
     if W.ndim != 2 or W.shape[0] < 2:
         raise ValueError("need at least two weight rows to have a decision")
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite("x", x)
     if x.shape != W.shape[1:]:
         raise ValueError(f"x of shape {x.shape} does not match the width {W.shape[1]} of W")
     _check_budget("n_samples", n_samples)

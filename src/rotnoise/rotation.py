@@ -453,7 +453,7 @@ def apply_featuremap(
     uniformly anchored (bh, bw) window per sample is rotated; positions
     outside it pass through bit-exactly.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite("x", x)
     batched = x.ndim == 4
     if x.ndim == 3:
         x = x[None]

@@ -446,28 +446,9 @@ def test_train_statistic_samples_leaves_the_drawn_array_alone(monkeypatch):
     np.testing.assert_array_equal(f, train_statistic(0.3, before))
 
 
-# every layout of _companion_moments: the default crossover, np.mean per row
-# at every width, and column reductions at every width
-LAYOUTS = [batchnorm._SWEEP_WIDTH, 1, 10**9]
-
-
 def row_moments(z):
     m = z.mean(axis=1)
     return m, np.mean((z - m[:, None]) ** 2, axis=1)
-
-
-def column_moments(z):
-    """np.mean down the columns of a contiguous transposed copy of z, which
-    numpy sums one row at a time when z holds at least two rows."""
-    t = np.ascontiguousarray(z.T)
-    m = np.mean(t, axis=0)
-    return m, np.mean((t - m) ** 2, axis=0)
-
-
-def layout_moments(z, layout):
-    """The numpy reduction _companion_moments applies to z when
-    _SWEEP_WIDTH is ``layout``."""
-    return column_moments(z) if z.shape[1] < layout else row_moments(z)
 
 
 def assert_same_bits_or_both_nan(got, want):
@@ -515,67 +496,30 @@ def test_companion_moments_equal_np_mean_bit_for_bit(monkeypatch, width):
     monkeypatch.setattr(batchnorm, "_BUDGET_ELEMENTS", 2**11)
     step = max(1, 2**11 // width)
     rng = np.random.default_rng(width)
-    for layout in LAYOUTS:
-        monkeypatch.setattr(batchnorm, "_SWEEP_WIDTH", layout)
-        # the last chunk is partial, whole, a single row and three rows; a
-        # whole-array reduction gives every row's bits only if no chunk
-        # boundary moves them
-        for rows in (step - 1, step, step + 1, 2 * step + 3):
-            draw, chunks = recorded(draw_with_specials)
-            with np.errstate(invalid="ignore", over="ignore"):
-                got = batchnorm._companion_moments(rows, width + 1, draw, rng)
-                z = np.concatenate(chunks)
-                wants = [layout_moments(z, layout)]
-                # below 8 terms numpy's pairwise summation is sequential, so
-                # both layouts give each row's np.mean, as the default layout
-                # does from 32 companions on
-                if width < 8:
-                    wants.append(row_moments(z))
-            for want in wants:
-                for g, w in zip(got, want):
-                    assert_same_bits_or_both_nan(g, w)
-
-
-@pytest.mark.parametrize("width", [8, 15, 31, 32, 63, 600])
-def test_companion_layouts_agree_within_rounding(monkeypatch, width):
-    monkeypatch.setattr(batchnorm, "_BUDGET_ELEMENTS", 2**11)
-    rows = 2 * max(1, 2**11 // width) + 3
-    results, drawn = [], []
-    for layout in (1, 10**9):
-        monkeypatch.setattr(batchnorm, "_SWEEP_WIDTH", layout)
+    # the last chunk is partial, whole, a single row and three rows; a
+    # whole-array reduction gives every row's bits only if no chunk boundary
+    # moves them
+    for rows in (step - 1, step, step + 1, 2 * step + 3):
         draw, chunks = recorded(draw_with_specials)
         with np.errstate(invalid="ignore", over="ignore"):
-            results.append(batchnorm._companion_moments(rows, width + 1, draw, np.random.default_rng(40)))
-        drawn.append(np.concatenate(chunks))
-    np.testing.assert_array_equal(*drawn)
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(drawn[0] ** 2).all(axis=1)
-    z = drawn[0][finite]
-    (m_row, s2_row), (m_col, s2_col) = (np.stack(r)[:, finite] for r in results)
-    # either order of a sum of n terms is within (n - 1) eps of the exact sum
-    # of their magnitudes; the squared deviations take it from both sums
-    tol = 2 * width * np.finfo(float).eps
-    assert np.all(np.abs(m_col - m_row) <= tol * np.abs(z).mean(axis=1))
-    assert np.all(np.abs(s2_col - s2_row) <= 4 * tol * np.mean(z**2, axis=1))
-    assert np.any(m_col != m_row)
+            got = batchnorm._companion_moments(rows, width + 1, draw, rng)
+            want = row_moments(np.concatenate(chunks))
+        for g, w in zip(got, want):
+            assert_same_bits_or_both_nan(g, w)
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS)
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_companion_moments_equal_np_mean_for_every_source(monkeypatch, dist, layout):
-    monkeypatch.setattr(batchnorm, "_SWEEP_WIDTH", layout)
+def test_companion_moments_equal_np_mean_for_every_source(dist):
     rng = np.random.default_rng(38)
     for b, rows in ((2, 70_001), (8, 30_000), (16, 20_000), (34, 5_000), (65, 2_500)):
         draw, chunks = recorded(standardized_sampler(dist))
         got = batchnorm._companion_moments(rows, b, draw, rng)
-        for g, w in zip(got, layout_moments(np.concatenate(chunks), layout)):
+        for g, w in zip(got, row_moments(np.concatenate(chunks))):
             assert_same_bits_or_both_nan(g, w)
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("width", [7, 15, 40])
-def test_companion_moments_leave_the_drawn_array_alone(monkeypatch, layout, width):
-    monkeypatch.setattr(batchnorm, "_SWEEP_WIDTH", layout)
+def test_companion_moments_leave_the_drawn_array_alone(monkeypatch, width):
     monkeypatch.setattr(batchnorm, "_BUDGET_ELEMENTS", 200)
     held = draw_with_specials((61, width), np.random.default_rng(39))
     before = held.copy()
@@ -588,7 +532,7 @@ def test_companion_moments_leave_the_drawn_array_alone(monkeypatch, layout, widt
 
     with np.errstate(invalid="ignore", over="ignore"):
         got = batchnorm._companion_moments(61, width + 1, draw, None)
-        want = layout_moments(before, layout)
+        want = row_moments(before)
     assert taken == 61
     np.testing.assert_array_equal(held.view(np.int64), before.view(np.int64))
     for g, w in zip(got, want):

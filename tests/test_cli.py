@@ -274,6 +274,10 @@ def test_degenerate_monte_carlo_budget_exits_2(tmp_path, capsys, argv, csv_name)
         (["var-shift", "--rows", "-1"], "variance_shift.csv", "n_rows must be at least 1, got -1"),
         (["cn-check", "--batch", "-1"], "cn_linearity.csv", "batch of at least 3, got batch_size -1"),
         (["train-demo", "--n-train", "-1"], "train_demo.csv", "n_train must be at least 2, got -1"),
+        (["linreg", "--lambda", "nan", "--trials", "2"], "conditioning.csv",
+         "lam must be nonnegative and finite, got nan"),
+        (["linreg", "--lambda", "inf", "--trials", "2"], "conditioning.csv",
+         "lam must be nonnegative and finite, got inf"),
     ],
 )
 def test_degenerate_setting_exits_2(tmp_path, capsys, argv, csv_name, message):

@@ -79,6 +79,21 @@ def test_problem_validation():
         RegressionProblem(np.eye(3), np.ones(3), -0.5)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_problem_names_a_non_finite_strength(lam):
+    with pytest.raises(ValueError, match=f"lam must be nonnegative and finite, got {lam}"):
+        RegressionProblem(np.eye(3), np.ones(3), lam)
+
+
+@pytest.mark.parametrize("name", ["X", "y"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_names_a_non_finite_input(name, bad):
+    data = {"X": np.eye(3), "y": np.ones(3)}
+    data[name].flat[1] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RegressionProblem(data["X"], data["y"], 0.5)
+
+
 def test_ridge_identity_at_unit_strength():
     # the rotation system matrix is (1 - r) X^T X + r trace(X^T X) I, a
     # multiple of a ridge system, with pair rate r = 1/(D - 1) (even D), 1/D (odd)
@@ -322,6 +337,18 @@ def test_flip_rate_names_a_zero_row_before_drawing():
     w = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     with pytest.raises(ValueError, match="row 1 of W is zero"):
         classification_flip_rate(w, np.array([1.0, 0.0, 0.0]), gaussian_tangent(0.5), 100, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("name", ["W", "x"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_flip_rate_names_a_non_finite_input_before_drawing(name, bad):
+    rng = np.random.default_rng(17)
+    before = rng.bit_generator.state
+    data = {"W": _two_weights(0.5), "x": np.ones(16)}
+    data[name].flat[1] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        classification_flip_rate(data["W"], data["x"], gaussian_tangent(0.5), 100, rng)
     assert rng.bit_generator.state == before
 
 

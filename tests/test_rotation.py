@@ -501,6 +501,16 @@ def test_featuremap_requires_two_channels():
         apply_featuremap(np.zeros((1, 4, 4)), gaussian_tangent(0.5), rng)
 
 
+def test_featuremap_names_a_non_finite_input_before_drawing():
+    rng = np.random.default_rng(19)
+    before = rng.bit_generator.state
+    x = np.random.default_rng(20).standard_normal((2, 4, 3, 3))
+    x[1, 2, 0, 1] = np.nan
+    with pytest.raises(ValueError, match="x must be finite"):
+        apply_featuremap(x, gaussian_tangent(0.5), rng)
+    assert rng.bit_generator.state == before
+
+
 def test_featuremap_block_must_fit():
     rng = np.random.default_rng(18)
     with pytest.raises(ValueError, match="block"):
