@@ -259,7 +259,7 @@ def standardized_sampler(dist: str):
 _CURVE_BLOCK = 100_000
 # companion values drawn at once, and per block of noise_budget's outer points
 _BUDGET_ELEMENTS = 2**17
-# batches drawn at once by cross_normalization_curve
+# batches whose companion moments cross_normalization_curve draws at once
 _CN_CHUNK = 5000
 
 
@@ -436,18 +436,25 @@ def cross_normalization_curve(
 ) -> NonlinearityCurve:
     """Mean output of a cross-normalized element held at each grid value.
 
-    For each grid value, ``n_mc`` gaussian batches (drawn as
-    ``(batch_size, 5000)`` chunks) have their first element replaced by
-    the value and pass through ``cross_normalize`` with unit gain and no
-    eps, of which only the held element's row is computed.  The held
-    element's leave-one-out statistics do not depend on it, so the mean
-    output is exactly affine in the grid value.  Grid points use
+    For each grid value, ``n_mc`` gaussian batches have their first element
+    set to the value and pass through ``cross_normalize`` with unit gain and
+    no eps; only the held element's row is computed.  That row reads its
+    w = b - 1 companions only through their sum and sum of squared
+    deviations, so per chunk of up to ``_CN_CHUNK`` batches
+    ``_companion_moments`` draws their mean mu and 1/n variance s^2 (two
+    variates per batch), and the companions mu + sqrt(w s^2) e, with
+    e = (1, -1, 0, ..., 0) / sqrt(2), keep the output law of a full
+    gaussian batch.  The held element's statistics do not depend on it, so
+    the mean output is exactly affine in the grid value.  Grid points use
     independent draws.  ``batch_size`` must be at least 3.
+
+    Under "b-1" the mean output is x sqrt(b - 1) Gamma((b - 3)/2) /
+    (sqrt(2) Gamma((b - 2)/2)).  The output has no finite mean at b = 3 and
+    no finite variance at b = 4, so the stderr means nothing there.
     """
     if batch_size < 3:
         raise ValueError(f"cross-normalization needs a batch of at least 3, got batch_size {batch_size}")
     _check_budget("n_mc", n_mc)
-    draw = standardized_sampler("gaussian")
     grid = _check_grid(grid)
     gamma = np.ones(1)
     beta = np.zeros(1)
@@ -457,8 +464,9 @@ def cross_normalization_curve(
         outs = np.empty(n_mc)
         for done in range(0, n_mc, _CN_CHUNK):
             m = min(_CN_CHUNK, n_mc - done)
-            batch = draw((batch_size, m), rng)
-            batch[0, :] = x1
+            mu, s2 = _companion_moments(m, batch_size, _gaussian, rng)
+            spread = np.sqrt(s2 * ((batch_size - 1) / 2.0))
+            batch = np.vstack([np.full(m, x1), mu + spread, mu - spread, *[mu] * (batch_size - 3)])
             outs[done : done + m] = _cross_normalize_rows(batch, gamma, beta, 0.0, normalizer, 1)[0]
         means[k], stderr[k] = _estimate(outs)
     f_var = n_mc * stderr**2

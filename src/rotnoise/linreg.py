@@ -42,6 +42,11 @@ class SingularSystemError(ArithmeticError):
     """Raised when a regularized normal system is numerically singular."""
 
 
+def _check_lam(lam: float) -> None:
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"noise strength lam must be nonnegative and finite, got {lam}")
+
+
 @dataclass(frozen=True, eq=False)
 class RegressionProblem:
     """Design matrix, targets and the noise strength lam = (1 - p) / p."""
@@ -57,8 +62,7 @@ class RegressionProblem:
             raise ValueError("number of rows of X must match the target length")
         if X.shape[1] < 2:
             raise ValueError("rotation-regularized regression needs at least 2 features")
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError(f"noise strength lam must be nonnegative and finite, got {self.lam}")
+        _check_lam(self.lam)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
 
@@ -72,13 +76,15 @@ class RegressionProblem:
 
 
 def rotation_system_matrix(X: np.ndarray, lam: float) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    X = _finite("X", X)
+    _check_lam(lam)
     gram = X.T @ X
     return gram + _noise_moment(gram, "rotation", lam)
 
 
 def dropout_system_matrix(X: np.ndarray, lam: float) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    X = _finite("X", X)
+    _check_lam(lam)
     gram = X.T @ X
     return gram + _noise_moment(gram, "dropout", lam)
 
@@ -174,39 +180,25 @@ def dropout_rotation_angle(
 ) -> Estimate:
     """Mean cos^2 of the angle a dropout mask rotates a nonnegative vector by.
 
-    Samples vectors with absolute-normal entries, applies a Bernoulli mask,
-    and averages cos^2(x, masked x); concentration makes the mean approach
-    the keep rate as the dimension grows.  All-zero masks (probability
-    (1 - p)^D per vector, for keep rate p and dimension D) are rejected and
-    redrawn.
+    For absolute-normal entries and a Bernoulli mask keeping K of the D
+    coordinates, cos^2(x, masked x) = A / (A + B), with independent
+    A ~ Gamma(K/2) and B ~ Gamma((D - K)/2): the kept and dropped parts of
+    sum x^2.  Each sample draws K ~ Binomial(D, p), redrawn while 0 (the
+    all-zero mask is rejected), then A and B; no vector or mask is built.
+    The mean, p / (1 - (1 - p)^D), approaches the keep rate p as D grows.
     """
     if dim < 2:
         raise ValueError("angle demo needs at least 2 dimensions")
     _strength(keep_rate)
     _check_budget("n_samples", n_samples)
-    x = rng.standard_normal((n_samples, dim))
-    np.abs(x, out=x)
-    cos2 = np.empty(n_samples)
-
-    def reduce_rows(rows, mask):
-        x2 = x[rows] ** 2
-        cos2[rows] = (x2 * mask).sum(axis=1) / x2.sum(axis=1)
-
-    # the masks are drawn and reduced in row blocks, in the order one
-    # (n_samples, dim) draw would take, so no full-size temporary is built
-    block = max(1, _BLOCK // dim)
-    empty = []
-    for lo in range(0, n_samples, block):
-        rows = slice(lo, min(n_samples, lo + block))
-        mask = rng.random((rows.stop - lo, dim)) < keep_rate
-        reduce_rows(rows, mask)
-        empty.extend(lo + np.flatnonzero(~mask.any(axis=1)))
-    empty = np.array(empty, dtype=np.intp)
+    kept = rng.binomial(dim, keep_rate, n_samples)
+    empty = np.flatnonzero(kept == 0)
     while empty.size:
-        mask = rng.random((empty.size, dim)) < keep_rate
-        reduce_rows(empty, mask)
-        empty = empty[~mask.any(axis=1)]
-    return _estimate(cos2)
+        kept[empty] = rng.binomial(dim, keep_rate, empty.size)
+        empty = empty[kept[empty] == 0]
+    a = rng.standard_gamma(kept / 2.0)
+    b = rng.standard_gamma((dim - kept) / 2.0)
+    return _estimate(a / (a + b))
 
 
 def _unit_rows(W: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from types import SimpleNamespace
@@ -767,22 +768,40 @@ def test_cross_normalize_rows_are_the_leading_rows_of_cross_normalize(normalizer
 
 @pytest.mark.parametrize("normalizer", ["b-1", "b"])
 def test_cross_normalization_curve_matches_chunked_loop(normalizer):
-    # the per-point loop over (B, 5000) chunks, as cn-check has always run it
+    # per (B, 5000) chunk: the companions' mean and 1/n variance, drawn as a
+    # normal and a chi-square variate per batch, spread over two companions
     grid = np.linspace(-2.0, 2.0, 3)
     n, b = 12_345, 6
-    curve = cross_normalization_curve(b, np.random.default_rng(33), grid, n, normalizer)
+    curve_rng = np.random.default_rng(33)
+    curve = cross_normalization_curve(b, curve_rng, grid, n, normalizer)
     rng = np.random.default_rng(33)
     for k, x1 in enumerate(grid):
         outs = np.empty(n)
         for done in range(0, n, 5000):
             m = min(5000, n - done)
-            batch = rng.standard_normal((b, m))
-            batch[0, :] = x1
+            mu = rng.standard_normal(m) * np.sqrt(1.0 / (b - 1))
+            s2 = rng.chisquare(b - 2, m) / (b - 1)
+            spread = np.sqrt(s2 * ((b - 1) / 2.0))
+            batch = np.concatenate([np.full((1, m), x1), [mu + spread, mu - spread], np.tile(mu, (b - 3, 1))])
             outs[done : done + m] = cross_normalize(
                 batch, np.ones(1), np.zeros(1), eps=0.0, normalizer=normalizer
             )[0]
         np.testing.assert_array_equal(curve.f_expect[k], outs.mean())
         np.testing.assert_array_equal(curve.stderr[k], outs.std(ddof=1) / np.sqrt(n))
+    np.testing.assert_equal(curve_rng.bit_generator.state, rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("b", [5, 8, 16])
+def test_cross_normalization_curve_matches_its_exact_law(b):
+    # under "b-1" with eps = 0 the held output is (x - mu) / sigma, with mu
+    # independent of (b - 1) sigma^2 ~ chi-square(b - 2), so E[out | x] =
+    # x sqrt(b - 1) Gamma((b - 3)/2) / (sqrt(2) Gamma((b - 2)/2)); the
+    # variance, and with it the stderr, is finite from b = 5
+    grid = np.array([-2.0, 0.5, 2.0])
+    curve = cross_normalization_curve(b, np.random.default_rng(43), grid, 200_000)
+    slope = math.sqrt(b - 1) * math.gamma((b - 3) / 2) / (math.sqrt(2) * math.gamma((b - 2) / 2))
+    # false-failure rate 3 x 5.7e-7 per batch size
+    assert_within_stderr(curve.f_expect, slope * grid, curve.stderr, 5.0, label=f"mean output at b = {b}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from mc_utils import assert_within_stderr
@@ -109,6 +111,23 @@ def test_ridge_identity_at_unit_strength():
 def test_rotation_system_rejects_one_column():
     with pytest.raises(ValueError, match="below dimension 2"):
         rotation_system_matrix(np.ones((3, 1)), 0.5)
+
+
+@pytest.mark.parametrize("system", [rotation_system_matrix, dropout_system_matrix])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_system_matrix_names_a_non_finite_design(system, bad):
+    x = np.eye(3)
+    x[1, 2] = bad
+    with pytest.raises(ValueError, match="X must be finite"):
+        system(x, 0.5)
+
+
+@pytest.mark.parametrize("system", [rotation_system_matrix, dropout_system_matrix])
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -2.0])
+def test_system_matrix_names_a_bad_strength(system, lam):
+    # the problem and both builders share one message
+    with pytest.raises(ValueError, match=f"lam must be nonnegative and finite, got {lam}"):
+        system(np.eye(3), lam)
 
 
 @pytest.mark.parametrize("dim", [2, 4, 8])
@@ -270,22 +289,21 @@ def test_marginalized_gradient_draws_one_batch_rotation_per_trial(monkeypatch):
 
 
 def angle_reference(dim, keep_rate, n_samples, rng):
-    """dropout_rotation_angle with one (n_samples, dim) mask draw."""
-    x = np.abs(rng.standard_normal((n_samples, dim)))
-    mask = rng.random((n_samples, dim)) < keep_rate
-    empty = ~mask.any(axis=1)
-    while empty.any():
-        mask[empty] = rng.random((int(empty.sum()), dim)) < keep_rate
-        empty = ~mask.any(axis=1)
-    x2 = x**2
-    cos2 = (x2 * mask).sum(axis=1) / x2.sum(axis=1)
+    """dropout_rotation_angle as the Beta law of cos^2: the kept count K, redrawn
+    where it is 0, then the kept and dropped parts of sum x^2 (halves of
+    chi-squares with K and D - K degrees of freedom)."""
+    kept = rng.binomial(dim, keep_rate, n_samples)
+    while (kept == 0).any():
+        kept[kept == 0] = rng.binomial(dim, keep_rate, int((kept == 0).sum()))
+    a = rng.standard_gamma(kept / 2)
+    cos2 = a / (a + rng.standard_gamma((dim - kept) / 2))
     return float(cos2.mean()), float(cos2.std(ddof=1) / np.sqrt(n_samples))
 
 
 @pytest.mark.parametrize(
     "dim, keep_rate, n_samples",
     [
-        (2, 0.3, 3 * (_BLOCK // 2) + 77),  # half the masks are empty and redrawn
+        (2, 0.3, 3 * (_BLOCK // 2) + 77),  # about half the counts are 0 and redrawn
         (1024, 0.5, 3 * (_BLOCK // 1024) + 5),
         (64, 0.8, 10),
     ],
@@ -298,6 +316,37 @@ def test_angle_matches_one_shot_draw(dim, keep_rate, n_samples):
     )
     np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
+
+def angle_central_moments(dim, keep_rate, mean):
+    """Exact second and fourth central moments of cos^2 about ``mean``: a mixture
+    over K ~ Binomial(D, p) given K >= 1 of Beta(K/2, (D - K)/2) laws."""
+    k = np.arange(1, dim + 1)
+    log_pmf = [math.lgamma(dim + 1) - math.lgamma(j + 1) - math.lgamma(dim - j + 1) for j in k]
+    pmf = np.exp(np.array(log_pmf) + k * math.log(keep_rate) + (dim - k) * math.log1p(-keep_rate))
+    pmf /= pmf.sum()
+    # raw moments of Beta(a, b): prod_{i < r} (a + i) / (a + b + i), with a + b = D/2
+    raw = [np.ones(dim)]
+    for i in range(4):
+        raw.append(raw[-1] * (k / 2 + i) / (dim / 2 + i))
+    return [
+        float(pmf @ sum(math.comb(r, j) * raw[j] * (-mean) ** (r - j) for j in range(r + 1)))
+        for r in (2, 4)
+    ]
+
+
+@pytest.mark.parametrize("dim, keep_rate", [(2, 0.3), (64, 0.8), (1024, 0.5)])
+def test_angle_matches_its_exact_law(dim, keep_rate):
+    # the mean is E[K/D | K >= 1] = p / (1 - (1 - p)^D); the variance tells
+    # Beta(K/2, (D - K)/2) from Beta(K, D - K), which has the same mean
+    n = 200_000
+    mean, stderr = dropout_rotation_angle(dim, keep_rate, n, np.random.default_rng(42))
+    exact_mean = keep_rate / (1.0 - (1.0 - keep_rate) ** dim)
+    var, fourth = angle_central_moments(dim, keep_rate, exact_mean)
+    # false-failure rate 2 x 5.7e-7 per case
+    assert_within_stderr(
+        [mean, n * stderr**2], [exact_mean, var], [stderr, math.sqrt((fourth - var**2) / n)], 5.0,
+        label="cos^2 mean and variance",
+    )
 
 
 def test_angle_keep_rate_one_is_exact():
