@@ -108,10 +108,14 @@ def _train_normalize(x: np.ndarray, state: BatchNormState, update: bool):
     return state.gamma * xhat + state.beta, xhat, inv_std
 
 
-def _eval_normalize(x: np.ndarray, state: BatchNormState, correction=None, out=None):
-    """``bn_test_forward`` writing into ``out`` when given (``out=x``: in place)."""
+def _check_populated(state: BatchNormState) -> None:
     if state.n_batches == 0:
         raise ValueError("running statistics are unpopulated; run training batches first")
+
+
+def _eval_normalize(x: np.ndarray, state: BatchNormState, correction=None, out=None):
+    """``bn_test_forward`` writing into ``out`` when given (``out=x``: in place)."""
+    _check_populated(state)
     _check_width(x, state)
     var = state.running_var
     if correction is not None:
@@ -129,6 +133,13 @@ def _eval_normalize(x: np.ndarray, state: BatchNormState, correction=None, out=N
     xhat *= state.gamma
     xhat += state.beta
     return xhat
+
+
+def _eval_affine(state: BatchNormState) -> tuple[np.ndarray, np.ndarray]:
+    """The plain eval normalization folded into x * scale + shift, in float64."""
+    _check_populated(state)
+    scale = state.gamma / np.sqrt(state.running_var + state.eps)
+    return scale, state.beta - scale * state.running_mean
 
 
 def bn_train_forward(x, state: BatchNormState) -> np.ndarray:

@@ -34,6 +34,60 @@ working set: about 680k minor faults per round of the benchmark's
 ``overfit`` workload, against about 5k with the buffers.  Outside
 ``train`` no layer holds a buffer.  The matrix products are the same
 calls with ``out=``, so every result keeps its bits.
+
+``train`` reads only each row's argmax from an eval, and
+``forward(x, mode="eval", argmax=True)`` returns ``logits.argmax(axis=1)``
+of the float64 eval bit for bit, but takes it from a float32 pass where it
+can prove that the two agree.  The float32 pass runs the same row blocks
+with float32 copies of the parameters, and folds each eval batch norm into
+one scale and one shift (two passes over the block where the float64 eval
+makes four).  The hidden dense layers write into their eval buffers viewed
+as float32, so the pass needs no workspace of its own.
+
+Next to each row the pass carries a bound E on the 2-norm of its
+activation error, measured against exact arithmetic on the float64 input
+and parameters.  It rests on the forward-error bound of a dot product,
+|fl(xᵀy) − xᵀy| ≤ γ_n·|x|ᵀ|y| with γ_n = n·u / (1 − n·u) (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, §3.1).
+With u = 2⁻²⁴, tiny the smallest float32 subnormal, and A an upper bound
+on the norm of the layer's input row (``_row_norms``):
+
+- rounding x to float32 starts E at (u·A + tiny·√d) / (1 − u);
+- a dense layer with n inputs and m outputs maps E to
+  ‖W‖_F·E + γ_{n+3}·(A·‖W‖_F + ‖b‖) + 2·tiny·√m·(n + 2 + √n·A), which
+  covers the product, the rounding of W and b, the bias add and underflow;
+- batch norm, y = s·x + t with s = gamma / √(var + eps), maps E to
+  max|s|·E + γ_7·(A·max|s| + ‖|beta| + |s·mean|‖) plus the same
+  underflow term with n = 1; γ_7 covers both the folded float32 arithmetic
+  and the float64 eval's four passes;
+- ReLU is 1-Lipschitz and eval-mode noise is the identity, so both leave
+  E as it is;
+- a row whose layer output could overflow gets E = inf, and so does every
+  row when a parameter overflows.
+
+The output layer's E bounds the error of each logit.  A row is certified
+when its top-two logit gap is more than twice the sum of those two
+logits' bounds, 4·E.  The exact argmax is then the float32 argmax, and
+because the same propagation at u = 2⁻⁵³ bounds the float64 logits far
+more tightly, whatever order BLAS sums in, the float64 argmax is the same
+too.  The factor of 2 also absorbs the float64 rounding of the bound
+itself.  A NaN or inf in a row's logits or bound leaves the row
+uncertified.
+
+Uncertified rows, a few per thousand in the benchmark's ``overfit``
+workload, are recomputed in float64 through the layers' own eval
+``forward``, with the same bound at u = 2⁻⁵³.  These few rows run in
+smaller products than the full input, and those can round differently
+(see above).  So if a recomputed row is still within its own float64
+bound, the whole input goes through the float64 stack, and its argmax is
+returned.  Every training history therefore keeps its bits.
+
+The argmax is a keyword of ``forward`` rather than a method of its own,
+and the whole ladder runs inside that one call without calling ``forward``
+again.  The benchmark's tracer records one span per ``Network.forward``
+call and reads the eval calls, rows and useful share from those spans; a
+separate method would drop the evals from the trace.  Without the keyword,
+``forward(mode="eval")`` returns the same float64 logits as before.
 """
 
 from __future__ import annotations
@@ -41,10 +95,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import pairwise
+from typing import NamedTuple
 
 import numpy as np
 
-from .batchnorm import BatchNormState, _eval_normalize, _train_normalize
+from .batchnorm import BatchNormState, _eval_affine, _eval_normalize, _train_normalize
 from .noise_ops import NoiseOpSpec, make_noise_op
 from .rotation import _finite
 
@@ -219,6 +274,101 @@ class _Noise:
 
 
 # ---------------------------------------------------------------------------
+# certified argmax (module docstring)
+
+
+class _Precision(NamedTuple):
+    u: float  # unit roundoff
+    tiny: float  # smallest subnormal, at least the error of a product that underflows
+    big: float  # largest finite value
+
+
+def _precision(dtype) -> _Precision:
+    info = np.finfo(dtype)
+    return _Precision(float(info.eps) / 2, float(info.smallest_subnormal), float(info.max))
+
+
+_F32, _F64 = _precision(np.float32), _precision(np.float64)
+
+
+class _Bound(NamedTuple):
+    """How one dense or eval batch-norm layer moves a row's error bound E.
+
+    ``gain`` is ‖W‖_F (batch norm: max|scale|), ``offset`` is ‖b‖ (batch
+    norm: ‖|beta| + |scale * mean|‖), ``fan_in`` is n (batch norm: 1) and
+    ``rounding`` the k of γ_k = k·u / (1 − k·u), the relative rounding of
+    the layer's arithmetic: n + 3 for a dense layer, 7 for batch norm.
+    """
+
+    gain: float
+    offset: float
+    fan_in: int
+    rounding: int
+    width: int
+
+    def apply(self, E, A, p: _Precision):
+        """The bound after the layer, given E and the input row norms A.
+
+        Rows whose output could overflow get an infinite bound; so do all
+        rows if a parameter overflows p's dtype.
+        """
+        g = self.rounding * p.u / (1 - self.rounding * p.u)
+        limit = p.big / (1 + 2 * g)
+        if max(self.gain, self.offset) >= limit:
+            return np.full_like(E, np.inf)
+        size = A * self.gain
+        size += self.offset
+        E = E * self.gain
+        E += g * size
+        E += 2 * p.tiny * np.sqrt(self.width) * (self.fan_in + 2 + np.sqrt(self.fan_in) * A)
+        E[~(size < limit)] = np.inf
+        return E
+
+
+def _lower(layer):
+    """(weight, shift, bound) of one layer for the certified pass, or Nones.
+
+    The float32 weight is a dense layer's W.T or batch norm's scale; the
+    norms in the bound come from the float64 parameters.
+    """
+    if isinstance(layer, _Dense):
+        m, n = layer.w.shape
+        bound = _Bound(np.linalg.norm(layer.w), np.linalg.norm(layer.b), n, n + 3, m)
+        return layer.w.T.astype(np.float32), layer.b.astype(np.float32), bound
+    if isinstance(layer, _BatchNorm):
+        scale, shift = _eval_affine(layer.state)
+        offset = np.linalg.norm(np.abs(layer.state.beta) + np.abs(scale * layer.state.running_mean))
+        bound = _Bound(np.abs(scale).max(), offset, 1, 7, scale.size)
+        return scale.astype(np.float32), shift.astype(np.float32), bound
+    return None, None, None
+
+
+def _row_norms(h, p: _Precision):
+    """Upper bounds on the exact 2-norms of h's rows, summed in h's dtype.
+
+    Each square rounds by a factor 1 + u and may underflow by tiny, and a
+    sum of n nonnegative terms rounds by at most γ_n: dividing by
+    1 − 2(n + 1)u covers both.
+    """
+    n = h.shape[1]
+    squares = np.einsum("ij,ij->i", h, h).astype(np.float64)
+    squares += n * p.tiny
+    squares /= 1 - 2 * (n + 1) * p.u
+    return np.sqrt(squares, out=squares)
+
+
+def _certified(z, E):
+    """Rows whose top-two logit gap exceeds twice the sum of their bounds, 4·E.
+
+    A NaN in a row's logits or bound leaves it uncertified.
+    """
+    if z.shape[1] < 2:
+        return np.ones(len(z), dtype=bool)
+    top2 = np.partition(z.astype(np.float64), z.shape[1] - 2, axis=1)[:, -2:]
+    return top2[:, 1] - top2[:, 0] > 4 * E
+
+
+# ---------------------------------------------------------------------------
 # network
 
 
@@ -243,8 +393,13 @@ class Network:
             out.update(layer.params())
         return out
 
-    def forward(self, x, mode="train", rng=None, reuse: _Cache | None = None):
+    def forward(self, x, mode="train", rng=None, reuse: _Cache | None = None, *, argmax=False):
         """Run the stack; returns (logits, cache).
+
+        With ``argmax=True`` (eval mode only) it returns each row's predicted
+        class, ``logits.argmax(axis=1)`` bit for bit, in place of the logits,
+        taking it from the certified float32 pass where it can (module
+        docstring).
 
         ``reuse`` replays a previous train-mode cache, each layer reading its
         own entry: noise layers redraw nothing, so finite-difference probes
@@ -269,9 +424,15 @@ class Network:
             raise ValueError("train mode needs a generator (or a cache to replay)")
         if reuse is not None and reuse.mode != "train":
             raise ValueError("only a train-mode cache can be replayed")
+        if argmax and mode != "eval":
+            raise ValueError("argmax needs eval mode")
         replays = reuse.layer_caches if reuse is not None else [None] * len(self.layers)
         self._token += 1
         cache = _Cache(token=self._token, mode=mode)
+        if argmax:
+            predicted = self._certified_argmax(x)
+            if predicted is not None:
+                return predicted, cache
         n = x.shape[0]
         logits = None
         for lo, hi in pairwise(_eval_bounds(n) if mode == "eval" else (0, n)):
@@ -284,7 +445,65 @@ class Network:
                 if logits is None:
                     logits = np.empty((n, h.shape[1]))
                 logits[lo:hi] = h
-        return (h if logits is None else logits), cache
+        logits = h if logits is None else logits
+        return (logits.argmax(axis=1) if argmax else logits), cache
+
+    def _certified_argmax(self, x):
+        """Each row's argmax from the float32 pass, or None where only the float64 stack can tell.
+
+        Rows the float32 pass cannot certify are recomputed in float64.  If
+        one of those is still uncertified, the full-input products, which
+        can round its logits differently, could pick another class, so the
+        caller runs the whole input through the float64 stack.
+        """
+        plan = [_lower(layer) for layer in self.layers]
+        predicted = np.empty(x.shape[0], dtype=np.intp)
+        with np.errstate(all="ignore"):  # overflow and NaN only leave rows uncertified
+            for lo, hi in pairwise(_eval_bounds(x.shape[0])):
+                z, E = self._bounded_logits(x[lo:hi], plan, _F32)
+                predicted[lo:hi] = z.argmax(axis=1)
+                redo = lo + np.flatnonzero(~_certified(z, E))
+                if redo.size:
+                    z, E = self._bounded_logits(x[redo], plan, _F64)
+                    if not _certified(z, E).all():
+                        return None
+                    predicted[redo] = z.argmax(axis=1)
+        return predicted
+
+    def _bounded_logits(self, x, plan, p: _Precision):
+        """Eval logits of the rows x in p's dtype, and per row a bound E on each logit's error.
+
+        The error is measured against exact arithmetic on x and the float64
+        parameters.  The float64 rows go through the layers' own eval
+        ``forward``; the float32 rows through ``plan`` (``_lower``), with
+        the hidden dense layers writing into their eval buffers.
+        """
+        if p is _F32:
+            h = x.astype(np.float32)
+            E = _row_norms(h, p)
+            E *= p.u
+            E += p.tiny * np.sqrt(h.shape[1])
+            E /= 1 - p.u
+        else:
+            h, E = x, np.zeros(x.shape[0])
+        for layer, (weight, shift, bound) in zip(self.layers, plan, strict=True):
+            if bound is not None:
+                E = bound.apply(E, _row_norms(h, p), p)
+            if p is _F64:
+                h, _ = layer.forward(h, "eval", None, None)
+            elif isinstance(layer, _Dense):
+                out = None
+                if layer.eval_out is not None:
+                    size = h.shape[0] * shift.size
+                    out = layer.eval_out.reshape(-1).view(np.float32)[:size].reshape(-1, shift.size)
+                h = np.matmul(h, weight, out=out)
+                h += shift
+            elif isinstance(layer, _BatchNorm):
+                h *= weight
+                h += shift
+            elif isinstance(layer, _Relu):
+                np.maximum(h, 0.0, out=h)
+        return h, E
 
     def backward(self, cache: _Cache, dlogits) -> dict[str, np.ndarray]:
         """Exact gradients of the realized loss for every parameter.
@@ -407,8 +626,8 @@ def _workspace(model: Network, *sizes: int):
 
 
 def _accuracy(model: Network, x, y) -> float:
-    logits, _ = model.forward(x, mode="eval")
-    return float((logits.argmax(axis=1) == y).mean())
+    predicted, _ = model.forward(x, mode="eval", argmax=True)
+    return float((predicted == y).mean())
 
 
 def train(
@@ -434,13 +653,22 @@ def train(
         raise ValueError(f"validation needs both x_val and y_val; {missing} is missing")
     if record_every < 0:
         raise ValueError(f"record_every must be at least 0, got {record_every}")
-    _finite("x_train", x_train)
-    if len(y_train) != len(x_train):
-        raise ValueError(f"y_train holds {len(y_train)} labels for the {len(x_train)} rows of x_train")
+    x_train, y_train = _finite("x_train", x_train), np.asarray(y_train)
     if x_val is not None:
-        _finite("x_val", x_val)
-        if len(y_val) != len(x_val):
-            raise ValueError(f"y_val holds {len(y_val)} labels for the {len(x_val)} rows of x_val")
+        x_val, y_val = _finite("x_val", x_val), np.asarray(y_val)
+    classes = model.layers[-1].w.shape[0]
+    # a step needs a batch of 2, and an accuracy at least one row
+    for part, x, y, least in (("train", x_train, y_train, 2), ("val", x_val, y_val, 1)):
+        if x is None:
+            continue
+        if len(x) < least:
+            raise ValueError(f"x_{part} must hold at least {least} rows, got {len(x)}")
+        if len(y) != len(x):
+            raise ValueError(f"y_{part} holds {len(y)} labels for the {len(x)} rows of x_{part}")
+        if y.ndim != 1 or y.dtype.kind not in "iu":
+            raise ValueError(f"y_{part} must be a 1-D array of integer labels, got {y.dtype} of shape {y.shape}")
+        if not (0 <= y.min() and y.max() < classes):
+            raise ValueError(f"y_{part} labels must lie in 0..{classes - 1}, got {y.min()}..{y.max()}")
     params = model.params()
     velocity = {name: np.zeros_like(p) for name, p in params.items()}
     n = x_train.shape[0]

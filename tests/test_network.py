@@ -237,8 +237,9 @@ def test_network_eval_batchnorm_equals_bn_test_forward():
 def test_batchnorm_eval_before_training_rejected():
     model = small_model(batchnorm=True)
     x, _ = small_batch()
-    with pytest.raises(ValueError, match="unpopulated"):
-        model.forward(x, mode="eval")
+    for argmax in (False, True):
+        with pytest.raises(ValueError, match="unpopulated"):
+            model.forward(x, mode="eval", argmax=argmax)
 
 
 def test_train_cache_carries_kink_margins():
@@ -640,6 +641,53 @@ def test_train_names_non_finite_input(name):
         np.testing.assert_array_equal(v, params[k])
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("y_train label 7", r"y_train labels must lie in 0\.\.1, got 0\.\.7"),
+        ("y_val label 5", r"y_val labels must lie in 0\.\.1, got 0\.\.5"),
+        ("float y_val", r"y_val must be a 1-D array of integer labels, got float64 of shape \(90,\)"),
+        ("empty x_val", r"x_val must hold at least 1 rows, got 0"),
+        ("1-row x_train", r"x_train must hold at least 2 rows, got 1"),
+    ],
+)
+def test_train_checks_its_data_before_the_first_step(case, message):
+    # each case once trained on (a label past the output width raised after
+    # some steps) or was scored without an error (a miss, or a NaN accuracy)
+    model, (x_tr, y_tr, x_va, y_va) = overfit_setup("rotation-bn")
+    data = {"x_train": x_tr, "y_train": y_tr.copy(), "x_val": x_va, "y_val": y_va.copy()}
+    if case == "y_train label 7":
+        data["y_train"][-1] = 7
+    elif case == "y_val label 5":
+        data["y_val"][-1] = 5
+    elif case == "float y_val":
+        data["y_val"] = y_va.astype(np.float64)
+    elif case == "empty x_val":
+        data["x_val"], data["y_val"] = x_va[:0], y_va[:0]
+    else:
+        data["x_train"], data["y_train"] = x_tr[:1], y_tr[:1]
+    params = {k: v.copy() for k, v in model.params().items()}
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        train(model, data["x_train"], data["y_train"], TrainConfig(epochs=1, batch_size=8), rng,
+              data["x_val"], data["y_val"])
+    assert rng.bit_generator.state == before
+    for k, v in model.params().items():
+        np.testing.assert_array_equal(v, params[k])
+    assert held_buffers(model) == []
+
+
+def test_train_takes_lists_as_it_takes_arrays():
+    # list data once passed the checks and failed at the first batch's indexing
+    config = TrainConfig(epochs=2, batch_size=8)
+    model, (x_tr, y_tr, x_va, y_va) = overfit_setup("rotation-bn")
+    reference, _ = overfit_setup("rotation-bn")
+    expected = train(reference, x_tr, y_tr, config, np.random.default_rng(4), x_va, y_va)
+    history = train(model, x_tr.tolist(), list(y_tr), config, np.random.default_rng(4), x_va.tolist(), list(y_va))
+    assert history == expected
+
+
 def test_eval_results_never_alias_the_workspace():
     model, (x_tr, y_tr, x_va, _) = overfit_setup("rotation-bn")
     train(model, x_tr, y_tr, TrainConfig(epochs=1, batch_size=8), np.random.default_rng(5))
@@ -752,3 +800,184 @@ def test_eval_peak_memory_does_not_grow_with_the_rows(monkeypatch):
     extra_logits = 3 * n * classes * 8
     one_block = floor * width * 8
     assert peaks[1] - peaks[0] <= extra_logits + one_block, peaks
+
+
+# ---------------------------------------------------------------------------
+# the certified float32 argmax
+
+
+def float32_logits(model, x):
+    """The float32 pass's logits of x and each row's bound on every logit's error."""
+    plan = [network._lower(layer) for layer in model.layers]
+    return model._bounded_logits(x, plan, network._F32)
+
+
+BOUND_STACKS = {
+    "baseline": dict(),
+    "rotation-before-weight": dict(noise=ROTATION),
+    "rotation-after-weight-bn": dict(noise=ROTATION, noise_placement="after-weight", batchnorm=True),
+    "dropout": dict(noise=NoiseOpSpec("bernoulli-dropout", 0.7)),
+    "linear": dict(activation="none"),
+}
+
+
+def bound_model(stack, width, classes, epochs, seed=0):
+    """Two hidden layers on 5 inputs, the first noised, trained for ``epochs`` epochs on 40 rows."""
+    rng = np.random.default_rng(seed)
+    spec = BOUND_STACKS[stack]
+    plain = LayerSpec(width, activation=spec.get("activation", "relu"), batchnorm=spec.get("batchnorm", False))
+    model = build_network(5, [LayerSpec(width, **spec), plain], classes, rng)
+    x = rng.standard_normal((40, 5))
+    model.forward(x[:8], mode="train", rng=rng)  # running statistics for batch norm
+    if epochs:
+        train(model, x, rng.integers(0, classes, 40), TrainConfig(epochs=epochs, batch_size=8), rng)
+    return model
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("stack", sorted(BOUND_STACKS))
+def test_float32_logits_lie_within_their_bound(stack, classes):
+    x = np.random.default_rng(30).standard_normal((300, 5)) * 3
+    # a rotation after the weight layer needs a width of at least 2
+    for width in (1, 2, 7, 16, 64) if stack != "rotation-after-weight-bn" else (2, 7, 16, 64):
+        for epochs in range(4):
+            model = bound_model(stack, width, classes, epochs)
+            z, bound = float32_logits(model, x)
+            exact = model.forward(x, mode="eval")[0]
+            assert z.dtype == np.float32 and bound.shape == (len(x),)
+            assert np.all(np.abs(z - exact) <= bound[:, None]), (width, epochs)
+
+
+def scaled(model, factor, layers=None):
+    """``model`` with the weights and biases of the given dense layers (default all) times ``factor``."""
+    dense = [layer for layer in model.layers if isinstance(layer, _Dense)]
+    for layer in dense if layers is None else [dense[k] for k in layers]:
+        layer.w *= factor
+        layer.b *= factor
+    return model
+
+
+@pytest.mark.parametrize("widths", [(), (16, 16)], ids=["no-hidden-layer", "two-hidden-layers"])
+def test_float32_bound_holds_in_the_subnormal_range(widths):
+    # an untrained stack has zero biases, so the logits scale with the first
+    # layer; with no hidden layer, normal inputs meet subnormal weights
+    hidden = [LayerSpec(w) for w in widths]
+    model = scaled(build_network(5, hidden, 2, np.random.default_rng(31)), 1e-40, [0])
+    x = np.random.default_rng(32).standard_normal((300, 5))
+    z, bound = float32_logits(model, x)
+    exact = model.forward(x, mode="eval")[0]
+    assert np.abs(exact).max() < np.finfo(np.float32).tiny  # every logit is subnormal in float32
+    assert np.all(np.abs(z - exact) <= bound[:, None])
+
+
+def test_a_layer_output_that_could_overflow_has_no_finite_bound():
+    bound = network._Bound(gain=1e38, offset=0.0, fan_in=4, rounding=7, width=3)
+    E = bound.apply(np.zeros(3), np.array([1.0, 4.0, np.inf]), network._F32)
+    assert np.isfinite(E[0]) and np.all(E[1:] == np.inf)
+    # a parameter past float32's range leaves no row a finite bound
+    too_large = bound._replace(gain=1e39).apply(np.zeros(2), np.zeros(2), network._F32)
+    assert np.all(too_large == np.inf)
+
+
+def certified_rungs(monkeypatch):
+    """Count the rows each precision evaluates and the inputs that fall back whole."""
+    seen = {"float32": 0, "float64": 0, "whole input": 0}
+    bounded, certified = network.Network._bounded_logits, network.Network._certified_argmax
+
+    def spy_bounded(self, x, plan, p):
+        seen["float32" if p is network._F32 else "float64"] += len(x)
+        return bounded(self, x, plan, p)
+
+    def spy_certified(self, x):
+        predicted = certified(self, x)
+        seen["whole input"] += predicted is None
+        return predicted
+
+    monkeypatch.setattr(network.Network, "_bounded_logits", spy_bounded)
+    monkeypatch.setattr(network.Network, "_certified_argmax", spy_certified)
+    return seen
+
+
+def assert_argmax_exact(model, x):
+    x_before = x.copy()
+    predicted, _ = model.forward(x, mode="eval", argmax=True)
+    np.testing.assert_array_equal(x, x_before)
+    expected = model.forward(x, mode="eval")[0].argmax(axis=1)
+    assert predicted.dtype == expected.dtype
+    np.testing.assert_array_equal(predicted, expected)
+    return predicted
+
+
+def near_boundary(model, x, gap=1e-6):
+    """Rows whose float64 logits of the two classes differ by less than ``gap``, by bisection."""
+    logits = model.forward(x, mode="eval")[0]
+    first, second = np.flatnonzero(logits[:, 0] > logits[:, 1]), np.flatnonzero(logits[:, 0] <= logits[:, 1])
+    rows = []
+    for k in range(max(len(first), len(second))):
+        i, j = first[k % len(first)], second[k % len(second)]
+        lo, hi = x[i], x[j]
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            d = np.diff(model.forward(mid[None], mode="eval")[0][0])[0]
+            if abs(d) < gap:
+                rows.append(mid)
+                break
+            lo, hi = (lo, mid) if d > 0 else (mid, hi)
+    return np.array(rows)
+
+
+def test_certified_argmax_certifies_rows_far_from_the_boundary(monkeypatch):
+    model = trained_model()
+    x = np.random.default_rng(33).standard_normal((400, 10))
+    logits = model.forward(x, mode="eval")[0]
+    x = x[np.abs(logits[:, 0] - logits[:, 1]) > 1e-3]
+    seen = certified_rungs(monkeypatch)
+    assert_argmax_exact(model, x)
+    assert seen == {"float32": len(x), "float64": 0, "whole input": 0}
+
+
+def test_certified_argmax_recomputes_rows_at_the_boundary_in_float64(monkeypatch):
+    model = trained_model()
+    x = np.random.default_rng(34).standard_normal((60, 10))
+    near = near_boundary(model, x)
+    assert len(near) >= 10
+    gaps = np.abs(np.diff(model.forward(near, mode="eval")[0], axis=1))
+    assert np.all((gaps > 1e-12) & (gaps < 1e-6))
+    seen = certified_rungs(monkeypatch)
+    assert_argmax_exact(model, np.concatenate([x, near]))
+    assert seen["float64"] >= len(near) and seen["whole input"] == 0
+
+
+def test_certified_argmax_falls_back_whole_on_exact_ties(monkeypatch):
+    model = trained_model()
+    out = model.layers[-1]
+    out.w[1], out.b[1] = out.w[0], out.b[0]
+    seen = certified_rungs(monkeypatch)
+    predicted = assert_argmax_exact(model, np.random.default_rng(35).standard_normal((50, 10)))
+    assert np.all(predicted == 0)
+    assert seen["whole input"] == 1
+
+
+@pytest.mark.parametrize("factor, layers", [(1e20, None), (1e-40, [0])], ids=["past-float32-max", "subnormal"])
+def test_certified_argmax_is_exact_at_the_edges_of_float32(factor, layers, monkeypatch):
+    model = scaled(build_network(10, [LayerSpec(16), LayerSpec(16)], 2, np.random.default_rng(36)), factor, layers)
+    seen = certified_rungs(monkeypatch)
+    assert_argmax_exact(model, np.random.default_rng(37).standard_normal((200, 10)))
+    assert seen["float64"] > 0
+
+
+def test_certified_argmax_is_exact_over_several_eval_blocks(monkeypatch):
+    monkeypatch.setattr(network, "_EVAL_ROWS", 16)
+    model = trained_model()
+    x = np.random.default_rng(38).standard_normal((80, 10))
+    x = np.concatenate([x, near_boundary(model, x[:20])])
+    seen = certified_rungs(monkeypatch)
+    assert_argmax_exact(model, x)
+    assert seen["float32"] == len(x) and seen["float64"] > 0 and seen["whole input"] == 0
+
+
+def test_argmax_needs_eval_mode():
+    model = small_model()
+    x, _ = small_batch()
+    with pytest.raises(ValueError, match="argmax needs eval mode"):
+        model.forward(x, mode="train", rng=np.random.default_rng(39), argmax=True)
