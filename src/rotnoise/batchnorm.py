@@ -208,14 +208,23 @@ def _cross_normalize_rows(x, gamma, beta, eps: float, normalizer: str, rows: int
     else:
         raise ValueError("normalizer must be 'b-1' or 'b'")
     # masked sums keep the leave-one-out statistics bit-exactly independent
-    # of the held-out element (its contribution is an exact 0 term)
+    # of the held-out element (its contribution is an exact 0 term).  They
+    # sum x - c, with c an element other than the held one (x[1] for row 0,
+    # x[0] for the rest), so that a large common offset does not cancel in
+    # the variance.
     hold = 1.0 - np.eye(b)
-    loo_sum = (hold @ x)[:rows]
-    loo_sq = (hold @ x**2)[:rows]
-    mu = loo_sum / denom
-    # sum_{k != i} (x_k - mu_i)^2 / denom, expanded through the two sums
-    var = loo_sq / denom - 2 * mu * loo_sum / denom + mu**2 * (b - 1) / denom
-    return gamma * (x[:rows] - mu) / np.sqrt(var + eps) + beta
+    kept = b if rows is None else rows
+    parts = []
+    for c, held in ((x[1], slice(0, 1)), (x[0], slice(1, kept))):
+        if held.start < held.stop:
+            d = x - c
+            loo_sum, loo_sq = (hold @ d)[held], (hold @ d**2)[held]
+            # the mean of the rest is c + t
+            t = (loo_sum + (b - 1 - denom) * c) / denom
+            # sum_{k != i} (x_k - c - t_i)^2 / denom, expanded through the two sums
+            var = loo_sq / denom - 2 * t * loo_sum / denom + t**2 * (b - 1) / denom
+            parts.append(gamma * (d[held] - t) / np.sqrt(var + eps) + beta)
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

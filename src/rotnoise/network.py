@@ -6,10 +6,13 @@ realization drawn in the forward pass) and train-mode batch normalization
 (differentiating through the batch statistics), so analytic gradients can
 be checked against finite differences to tight tolerances.
 
-The eval pass keeps no caches and does only the arithmetic the logits
+The layers implement only their train pass.  Every eval runs through one
+executor, ``_eval_block``, which takes one row block through a plan of
+(step, bound) entries lowered from the layers in float32 or float64
+(``_lower``).  It keeps no caches and does only the arithmetic the logits
 need: ReLU and batch normalization write their results into the arrays
 they receive, which are always arrays the network allocated itself, never
-the caller's input.  It runs the layer stack over k = max(1, n //
+the caller's input.  ``forward`` runs it over k = max(1, n //
 ``_EVAL_ROWS``) near-equal row blocks and writes each block's logits into
 one (n, classes) result, so its working set is one block's activations
 however many rows it evaluates; an input under 2048 rows is one block.
@@ -21,19 +24,20 @@ blocks agree bit for bit.  Blocks of at least ``_EVAL_ROWS`` = 1024 rows
 keep the bits with a margin.
 
 ``train`` holds a workspace for the length of one call and releases it in
-a ``finally``: every hidden dense layer writes its eval output into one
-buffer sized for the largest eval block of the train and validation sets,
-and every dense layer writes its weight gradient into one buffer.  The
-output layer still allocates its small logits, so ``forward`` never
-returns workspace memory.  The buffers exist because of page faults, not
-arithmetic.  A fresh 4000 x 256 activation, as the unblocked eval made,
-is large enough for numpy to ask for huge pages, and glibc hands it back
-to the kernel when it is freed, so every epoch's eval faulted its
-activations in again and the train steps then re-faulted their own
-working set: about 680k minor faults per round of the benchmark's
-``overfit`` workload, against about 5k with the buffers.  Outside
-``train`` no layer holds a buffer.  The matrix products are the same
-calls with ``out=``, so every result keeps its bits.
+a ``finally``: every hidden dense layer writes its float32 eval output
+into one buffer sized for the largest eval block of the train and
+validation sets, and every dense layer writes its weight gradient into
+one buffer.  The output layer still allocates its small logits, so
+``forward`` never returns workspace memory, and the rare float64 evals
+allocate, inside ``train`` as outside it.  The buffers exist because of
+page faults, not arithmetic.  A fresh 4000 x 256 activation, as the
+unblocked eval made, is large enough for numpy to ask for huge pages, and
+glibc hands it back to the kernel when it is freed, so every epoch's eval
+faulted its activations in again and the train steps then re-faulted
+their own working set: about 680k minor faults per round of the
+benchmark's ``overfit`` workload, against about 5k with the buffers.
+Outside ``train`` no layer holds a buffer.  The matrix products are the
+same calls with ``out=``, so every result keeps its bits.
 
 ``train`` reads only each row's argmax from an eval, and
 ``forward(x, mode="eval", argmax=True)`` returns ``logits.argmax(axis=1)``
@@ -41,8 +45,7 @@ of the float64 eval bit for bit, but takes it from a float32 pass where it
 can prove that the two agree.  The float32 pass runs the same row blocks
 with float32 copies of the parameters, and folds each eval batch norm into
 one scale and one shift (two passes over the block where the float64 eval
-makes four).  The hidden dense layers write into their eval buffers viewed
-as float32, so the pass needs no workspace of its own.
+makes four).
 
 Next to each row the pass carries a bound E on the 2-norm of its
 activation error, measured against exact arithmetic on the float64 input
@@ -75,8 +78,8 @@ itself.  A NaN or inf in a row's logits or bound leaves the row
 uncertified.
 
 Uncertified rows, a few per thousand in the benchmark's ``overfit``
-workload, are recomputed in float64 through the layers' own eval
-``forward``, with the same bound at u = 2⁻⁵³.  These few rows run in
+workload, are recomputed in float64 by the same executor, with the same
+bound at u = 2⁻⁵³.  These few rows run in
 smaller products than the full input, and those can round differently
 (see above).  So if a recomputed row is still within its own float64
 bound, the whole input goes through the float64 stack, and its argmax is
@@ -194,13 +197,10 @@ class _Dense:
     def params(self):
         return {f"{self.name}.w": self.w, f"{self.name}.b": self.b}
 
-    def forward(self, x, mode, rng, replay):
-        out = None
-        if mode == "eval" and self.eval_out is not None:
-            out = self.eval_out[: x.shape[0]]
-        h = np.matmul(x, self.w.T, out=out)
+    def forward(self, x, rng, replay):
+        h = x @ self.w.T
         h += self.b
-        return h, ({"x": x} if mode == "train" else {})
+        return h, {"x": x}
 
     def param_grads(self, g, cache):
         gw = np.matmul(g.T, cache["x"], out=self.grad_w)
@@ -217,9 +217,7 @@ class _Relu:
     def params(self):
         return {}
 
-    def forward(self, x, mode, rng, replay):
-        if mode == "eval":
-            return np.maximum(x, 0.0, out=x), {}
+    def forward(self, x, rng, replay):
         # the kink margin lets gradient checks confirm no preactivation sits
         # within a finite-difference step of the nondifferentiable point
         return np.maximum(x, 0.0), {"mask": x > 0.0, "kink_margin": float(np.abs(x).min())}
@@ -236,9 +234,7 @@ class _BatchNorm:
     def params(self):
         return {f"{self.name}.gamma": self.state.gamma, f"{self.name}.beta": self.state.beta}
 
-    def forward(self, x, mode, rng, replay):
-        if mode == "eval":
-            return _eval_normalize(x, self.state, out=x), {}
+    def forward(self, x, rng, replay):
         out, xhat, inv_std = _train_normalize(x, self.state, update=replay is None)
         return out, {"xhat": xhat, "inv_std": inv_std}
 
@@ -263,9 +259,7 @@ class _Noise:
     def params(self):
         return {}
 
-    def forward(self, x, mode, rng, replay):
-        if mode == "eval":
-            return x, {}
+    def forward(self, x, rng, replay):
         state = replay["state"] if replay is not None else self.op.sample_state(x, rng)
         return self.op.apply_state(x, state), {"state": state}
 
@@ -274,7 +268,7 @@ class _Noise:
 
 
 # ---------------------------------------------------------------------------
-# certified argmax (module docstring)
+# eval executor and certified argmax (module docstring)
 
 
 class _Precision(NamedTuple):
@@ -325,22 +319,43 @@ class _Bound(NamedTuple):
         return E
 
 
-def _lower(layer):
-    """(weight, shift, bound) of one layer for the certified pass, or Nones.
+def _lower(layer, p: _Precision | None):
+    """One layer as a (step, bound) entry of the eval executor's plan.
 
-    The float32 weight is a dense layer's W.T or batch norm's scale; the
-    norms in the bound come from the float64 parameters.
+    ``step(h)`` maps a row block's activations h to the layer's eval output
+    in p's dtype, float64 when p is None: a dense layer into a new array or,
+    in float32, its eval buffer; every other layer into h.  Batch norm folds
+    into one scale and one shift in float32, and normalizes as
+    ``bn_test_forward`` does in float64, so those logits keep their bits.
+    ``bound`` is how the layer moves E, or None (p None, ReLU and noise).
     """
     if isinstance(layer, _Dense):
-        m, n = layer.w.shape
-        bound = _Bound(np.linalg.norm(layer.w), np.linalg.norm(layer.b), n, n + 3, m)
-        return layer.w.T.astype(np.float32), layer.b.astype(np.float32), bound
+        w, b, out, bound = layer.w.T, layer.b, None, None
+        if p is not None:
+            m, n = layer.w.shape
+            bound = _Bound(np.linalg.norm(layer.w), np.linalg.norm(layer.b), n, n + 3, m)
+        if p is _F32:
+            w, b, out = w.astype(np.float32), b.astype(np.float32), layer.eval_out
+
+        def step(h):
+            h = np.matmul(h, w, out=None if out is None else out[: len(h)])
+            h += b
+            return h
+
+        return step, bound
     if isinstance(layer, _BatchNorm):
-        scale, shift = _eval_affine(layer.state)
-        offset = np.linalg.norm(np.abs(layer.state.beta) + np.abs(scale * layer.state.running_mean))
-        bound = _Bound(np.abs(scale).max(), offset, 1, 7, scale.size)
-        return scale.astype(np.float32), shift.astype(np.float32), bound
-    return None, None, None
+        state, bound = layer.state, None
+        if p is not None:
+            scale, shift = _eval_affine(state)
+            offset = np.linalg.norm(np.abs(state.beta) + np.abs(scale * state.running_mean))
+            bound = _Bound(np.abs(scale).max(), offset, 1, 7, scale.size)
+        if p is not _F32:
+            return (lambda h: _eval_normalize(h, state, out=h)), bound
+        scale, shift = scale.astype(np.float32), shift.astype(np.float32)
+        return (lambda h: np.add(np.multiply(h, scale, out=h), shift, out=h)), bound
+    if isinstance(layer, _Relu):
+        return (lambda h: np.maximum(h, 0.0, out=h)), None
+    return (lambda h: h), None  # eval-mode noise is the identity
 
 
 def _row_norms(h, p: _Precision):
@@ -366,6 +381,30 @@ def _certified(z, E):
         return np.ones(len(z), dtype=bool)
     top2 = np.partition(z.astype(np.float64), z.shape[1] - 2, axis=1)[:, -2:]
     return top2[:, 1] - top2[:, 0] > 4 * E
+
+
+def _eval_block(plan, x, p: _Precision | None):
+    """The logits of the row block x through ``plan`` (``_lower``), in p's dtype.
+
+    With p given it also returns per row a bound E on each logit's error,
+    measured against exact arithmetic on x and the float64 parameters; with
+    p None, E is None.  No step writes x: the float32 pass casts it first,
+    and in every stack ``build_network`` makes, the first step that reads x
+    is a dense layer's (a leading noise layer hands it on unchanged).
+    """
+    if p is _F32:
+        h = x.astype(np.float32)
+        E = _row_norms(h, p)
+        E *= p.u
+        E += p.tiny * np.sqrt(h.shape[1])
+        E /= 1 - p.u
+    else:
+        h, E = x, (None if p is None else np.zeros(len(x)))
+    for step, bound in plan:
+        if bound is not None:
+            E = bound.apply(E, _row_norms(h, p), p)
+        h = step(h)
+    return h, E
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +444,9 @@ class Network:
         own entry: noise layers redraw nothing, so finite-difference probes
         see a fixed stochastic map, and batch norm keeps its running stats.
 
-        Eval mode runs the stack once per row block (``_eval_bounds``); an
-        input of one block returns the output layer's array itself.
-
-        In eval mode ReLU and batch-norm layers overwrite their input.  That
-        is safe in every stack ``build_network`` makes: their input is always
-        the output of a dense or batch-norm layer, possibly passed unchanged
-        through an eval-mode noise layer, so an array the network allocated.
-        Only a leading noise layer sees the caller's ``x``, and it hands it
-        to a dense layer, which does not write in place.
+        Eval mode runs ``_eval_block`` once per row block (``_eval_bounds``);
+        an input of one block returns the output layer's array itself.  The
+        eval cache holds no layer caches.
         """
         x = _finite("x", x)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
@@ -426,21 +459,24 @@ class Network:
             raise ValueError("only a train-mode cache can be replayed")
         if argmax and mode != "eval":
             raise ValueError("argmax needs eval mode")
-        replays = reuse.layer_caches if reuse is not None else [None] * len(self.layers)
         self._token += 1
         cache = _Cache(token=self._token, mode=mode)
+        if mode == "train":
+            replays = reuse.layer_caches if reuse is not None else [None] * len(self.layers)
+            h = x
+            for layer, replay in zip(self.layers, replays, strict=True):
+                h, c = layer.forward(h, rng, replay)
+                cache.layer_caches.append(c)
+            return h, cache
         if argmax:
             predicted = self._certified_argmax(x)
             if predicted is not None:
                 return predicted, cache
         n = x.shape[0]
+        plan = [_lower(layer, None) for layer in self.layers]
         logits = None
-        for lo, hi in pairwise(_eval_bounds(n) if mode == "eval" else (0, n)):
-            h = x[lo:hi]
-            cache.layer_caches.clear()
-            for layer, replay in zip(self.layers, replays, strict=True):
-                h, c = layer.forward(h, mode, rng, replay)
-                cache.layer_caches.append(c)
+        for lo, hi in pairwise(_eval_bounds(n)):
+            h, _ = _eval_block(plan, x[lo:hi], None)
             if hi - lo < n:
                 if logits is None:
                     logits = np.empty((n, h.shape[1]))
@@ -451,59 +487,25 @@ class Network:
     def _certified_argmax(self, x):
         """Each row's argmax from the float32 pass, or None where only the float64 stack can tell.
 
-        Rows the float32 pass cannot certify are recomputed in float64.  If
-        one of those is still uncertified, the full-input products, which
-        can round its logits differently, could pick another class, so the
-        caller runs the whole input through the float64 stack.
+        Rows the float32 pass cannot certify are recomputed in float64, with
+        the plan lowered for that block.  If one of those is still
+        uncertified, the full-input products, which can round its logits
+        differently, could pick another class, so the caller runs the whole
+        input through the float64 stack.
         """
-        plan = [_lower(layer) for layer in self.layers]
+        plan = [_lower(layer, _F32) for layer in self.layers]
         predicted = np.empty(x.shape[0], dtype=np.intp)
         with np.errstate(all="ignore"):  # overflow and NaN only leave rows uncertified
             for lo, hi in pairwise(_eval_bounds(x.shape[0])):
-                z, E = self._bounded_logits(x[lo:hi], plan, _F32)
+                z, E = _eval_block(plan, x[lo:hi], _F32)
                 predicted[lo:hi] = z.argmax(axis=1)
                 redo = lo + np.flatnonzero(~_certified(z, E))
                 if redo.size:
-                    z, E = self._bounded_logits(x[redo], plan, _F64)
+                    z, E = _eval_block([_lower(layer, _F64) for layer in self.layers], x[redo], _F64)
                     if not _certified(z, E).all():
                         return None
                     predicted[redo] = z.argmax(axis=1)
         return predicted
-
-    def _bounded_logits(self, x, plan, p: _Precision):
-        """Eval logits of the rows x in p's dtype, and per row a bound E on each logit's error.
-
-        The error is measured against exact arithmetic on x and the float64
-        parameters.  The float64 rows go through the layers' own eval
-        ``forward``; the float32 rows through ``plan`` (``_lower``), with
-        the hidden dense layers writing into their eval buffers.
-        """
-        if p is _F32:
-            h = x.astype(np.float32)
-            E = _row_norms(h, p)
-            E *= p.u
-            E += p.tiny * np.sqrt(h.shape[1])
-            E /= 1 - p.u
-        else:
-            h, E = x, np.zeros(x.shape[0])
-        for layer, (weight, shift, bound) in zip(self.layers, plan, strict=True):
-            if bound is not None:
-                E = bound.apply(E, _row_norms(h, p), p)
-            if p is _F64:
-                h, _ = layer.forward(h, "eval", None, None)
-            elif isinstance(layer, _Dense):
-                out = None
-                if layer.eval_out is not None:
-                    size = h.shape[0] * shift.size
-                    out = layer.eval_out.reshape(-1).view(np.float32)[:size].reshape(-1, shift.size)
-                h = np.matmul(h, weight, out=out)
-                h += shift
-            elif isinstance(layer, _BatchNorm):
-                h *= weight
-                h += shift
-            elif isinstance(layer, _Relu):
-                np.maximum(h, 0.0, out=h)
-        return h, E
 
     def backward(self, cache: _Cache, dlogits) -> dict[str, np.ndarray]:
         """Exact gradients of the realized loss for every parameter.
@@ -568,8 +570,11 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
         raise ValueError(
             f"labels must be integers of shape {logits.shape[:1]}, got {labels.dtype} of shape {labels.shape}"
         )
+    # the mean of no row's loss is NaN
+    if logits.shape[0] == 0:
+        raise ValueError("softmax_cross_entropy needs at least one row")
     k = logits.shape[1]
-    if labels.size and not (0 <= labels.min() and labels.max() < k):
+    if not (0 <= labels.min() and labels.max() < k):
         raise ValueError(f"labels must lie in 0..{k - 1}, got {labels.min()}..{labels.max()}")
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -606,7 +611,7 @@ def gaussian_mixture_data(
 def _workspace(model: Network, *sizes: int):
     """Give the dense layers their train-scoped buffers; take them back on exit.
 
-    Every dense layer below the topmost one gets an eval-output buffer with
+    Every dense layer below the topmost one gets a float32 eval-output buffer with
     as many rows as the largest eval block of an input of any of ``sizes``
     rows, at most 2 * ``_EVAL_ROWS`` - 1 however large the input; each
     block writes its leading rows.  The topmost layer still allocates what
@@ -618,7 +623,7 @@ def _workspace(model: Network, *sizes: int):
         for layer in dense:
             layer.grad_w = np.empty_like(layer.w)
         for layer in dense[:-1]:
-            layer.eval_out = np.empty((rows, layer.w.shape[0]))
+            layer.eval_out = np.empty((rows, layer.w.shape[0]), dtype=np.float32)
         yield
     finally:
         for layer in dense:
@@ -661,6 +666,8 @@ def train(
     for part, x, y, least in (("train", x_train, y_train, 2), ("val", x_val, y_val, 1)):
         if x is None:
             continue
+        if x.ndim != 2 or x.shape[1] != model.input_dim:
+            raise ValueError(f"x_{part} must have shape (n, {model.input_dim}), got {x.shape}")
         if len(x) < least:
             raise ValueError(f"x_{part} must hold at least {least} rows, got {len(x)}")
         if len(y) != len(x):

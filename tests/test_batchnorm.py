@@ -747,6 +747,32 @@ def test_cross_normalization_expectation_is_affine(normalizer):
     assert_within_stderr(resid, 0.0, errs, 3)
 
 
+def leave_one_out_reference(x, eps, normalizer):
+    """Each element normalized by the mean and variance of the rest, in two passes."""
+    b = len(x)
+    denom = b - 1.0 if normalizer == "b-1" else float(b)
+    out = np.empty_like(x)
+    for i in range(b):
+        rest = np.delete(x, i, axis=0)
+        mu = rest.sum(axis=0) / denom
+        out[i] = (x[i] - mu) / np.sqrt(np.square(rest - mu).sum(axis=0) / denom + eps)
+    return out
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8])
+@pytest.mark.parametrize("normalizer", ["b-1", "b"])
+def test_cross_normalize_keeps_its_variance_at_a_large_offset(normalizer, offset):
+    # the expanded sums of x and x**2 cancelled: at an offset of 1e8 under
+    # "b-1" 8 of 24 outputs were NaN, with no error, and the worst error was 792
+    base = np.random.default_rng(44).standard_normal((8, 3))
+    x = base + offset
+    # "b-1" is shift-invariant, and x - offset is exact here, so the reference
+    # works on small values; under "b" the offset stays in the deviations
+    expected = leave_one_out_reference(x - offset if normalizer == "b-1" else x, 1e-5, normalizer)
+    out = cross_normalize(x, np.ones(3), np.zeros(3), eps=1e-5, normalizer=normalizer)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
 def test_cross_normalize_rejects_unknown_normalizer():
     with pytest.raises(ValueError, match="normalizer"):
         cross_normalize(np.ones((4, 1)), np.ones(1), np.zeros(1), normalizer="b+1")

@@ -119,6 +119,12 @@ def test_softmax_cross_entropy_names_bad_labels(labels, message):
         softmax_cross_entropy(np.zeros((3, 2)), np.asarray(labels))
 
 
+def test_softmax_cross_entropy_names_an_empty_batch():
+    # the mean loss of no rows was NaN, with only a "Mean of empty slice" warning
+    with pytest.raises(ValueError, match="softmax_cross_entropy needs at least one row"):
+        softmax_cross_entropy(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+
+
 def test_train_and_report_needs_a_seed():
     with pytest.raises(ValueError, match="at least one seed"):
         train_and_report([("baseline", None)], TrainConfig(epochs=1), hidden_widths=(4,), seeds=())
@@ -198,16 +204,15 @@ def reference_eval(model, x):
     return h
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(noise=ROTATION),  # the noise op is the first layer and sees x
-        dict(noise=ROTATION, placement="after-weight", batchnorm=True),
-        dict(noise=ROTATION, activation="none", batchnorm=True),
-    ],
-    ids=["rotation-first", "after-weight-bn", "linear-bn"],
-)
-def test_eval_matches_reference_and_leaves_input_alone(kwargs):
+EVAL_STACKS = [
+    dict(noise=ROTATION),  # the noise op is the first layer and sees x
+    dict(noise=ROTATION, placement="after-weight", batchnorm=True),
+    dict(noise=ROTATION, activation="none", batchnorm=True),
+]
+EVAL_IDS = ["rotation-first", "after-weight-bn", "linear-bn"]
+
+
+def assert_eval_matches_reference(kwargs):
     model = small_model(**kwargs)
     rng = np.random.default_rng(15)
     for _ in range(3):  # move the running statistics off their initial values
@@ -222,6 +227,18 @@ def test_eval_matches_reference_and_leaves_input_alone(kwargs):
         assert not any(isinstance(v, np.ndarray) for v in layer_cache.values())
 
 
+@pytest.mark.parametrize("kwargs", EVAL_STACKS, ids=EVAL_IDS)
+def test_eval_matches_reference_and_leaves_input_alone(kwargs):
+    assert_eval_matches_reference(kwargs)
+
+
+@pytest.mark.parametrize("kwargs", EVAL_STACKS, ids=EVAL_IDS)
+def test_eval_matches_reference_over_several_eval_blocks(kwargs, monkeypatch):
+    # with a 2-row floor the 6 rows run as 3 blocks of 2
+    monkeypatch.setattr(network, "_EVAL_ROWS", 2)
+    assert_eval_matches_reference(kwargs)
+
+
 def test_network_eval_batchnorm_equals_bn_test_forward():
     model = small_model(batchnorm=True)
     rng = np.random.default_rng(17)
@@ -230,7 +247,7 @@ def test_network_eval_batchnorm_equals_bn_test_forward():
     bn = next(layer for layer in model.layers if isinstance(layer, _BatchNorm))
     h = rng.standard_normal((6, bn.state.gamma.size))
     expected = bn_test_forward(h, bn.state)
-    out, _ = bn.forward(h.copy(), "eval", None, None)
+    out, _ = network._eval_block([network._lower(bn, None)], h.copy(), None)
     np.testing.assert_array_equal(out, expected)
 
 
@@ -580,12 +597,18 @@ def test_train_matches_reference_loop_over_several_eval_blocks(stack, monkeypatc
     assert_train_matches_reference(stack)
 
 
-def test_train_releases_its_workspace_when_it_raises():
+def test_train_releases_its_workspace_when_it_raises(monkeypatch):
     model, (x_tr, y_tr, x_va, y_va) = overfit_setup("rotation-bn")
     config = TrainConfig(epochs=3, batch_size=8)
-    # the first recorded epoch evaluates a validation set of the wrong width
-    with pytest.raises(ValueError, match="input must have shape"):
-        train(model, x_tr, y_tr, config, np.random.default_rng(4), x_va[:, :4], y_va, record_every=1)
+
+    def failing_accuracy(model, x, y):
+        assert held_buffers(model) != []  # raised inside the workspace
+        raise RuntimeError("eval failed")
+
+    # the first recorded epoch's eval raises
+    monkeypatch.setattr(network, "_accuracy", failing_accuracy)
+    with pytest.raises(RuntimeError, match="eval failed"):
+        train(model, x_tr, y_tr, config, np.random.default_rng(4), x_va, y_va, record_every=1)
     assert held_buffers(model) == []
 
 
@@ -649,6 +672,9 @@ def test_train_names_non_finite_input(name):
         ("float y_val", r"y_val must be a 1-D array of integer labels, got float64 of shape \(90,\)"),
         ("empty x_val", r"x_val must hold at least 1 rows, got 0"),
         ("1-row x_train", r"x_train must hold at least 2 rows, got 1"),
+        ("narrow x_train", r"x_train must have shape \(n, 10\), got \(42, 7\)"),
+        ("narrow x_val", r"x_val must have shape \(n, 10\), got \(90, 7\)"),
+        ("1-D x_val", r"x_val must have shape \(n, 10\), got \(90,\)"),
     ],
 )
 def test_train_checks_its_data_before_the_first_step(case, message):
@@ -664,6 +690,12 @@ def test_train_checks_its_data_before_the_first_step(case, message):
         data["y_val"] = y_va.astype(np.float64)
     elif case == "empty x_val":
         data["x_val"], data["y_val"] = x_va[:0], y_va[:0]
+    elif case == "narrow x_train":
+        data["x_train"] = x_tr[:, :7]
+    elif case == "narrow x_val":  # once raised only at the first eval, after an epoch of steps
+        data["x_val"] = x_va[:, :7]
+    elif case == "1-D x_val":
+        data["x_val"] = x_va[:, 0]
     else:
         data["x_train"], data["y_train"] = x_tr[:1], y_tr[:1]
     params = {k: v.copy() for k, v in model.params().items()}
@@ -753,14 +785,13 @@ def test_no_eval_block_is_shorter_than_the_floor(monkeypatch):
     monkeypatch.setattr(network, "_EVAL_ROWS", floor)
     model = trained_model("baseline")
     seen = []
-    dense_forward = _Dense.forward
+    eval_block = network._eval_block
 
-    def recording_forward(self, x, mode, rng, replay):
-        if self is model.layers[0]:
-            seen.append(x.shape[0])
-        return dense_forward(self, x, mode, rng, replay)
+    def recording_eval_block(plan, x, p):
+        seen.append(x.shape[0])
+        return eval_block(plan, x, p)
 
-    monkeypatch.setattr(_Dense, "forward", recording_forward)
+    monkeypatch.setattr(network, "_eval_block", recording_eval_block)
     x = np.random.default_rng(21).standard_normal((100, 10))
     for n in range(1, 101):
         seen.clear()
@@ -808,8 +839,8 @@ def test_eval_peak_memory_does_not_grow_with_the_rows(monkeypatch):
 
 def float32_logits(model, x):
     """The float32 pass's logits of x and each row's bound on every logit's error."""
-    plan = [network._lower(layer) for layer in model.layers]
-    return model._bounded_logits(x, plan, network._F32)
+    plan = [network._lower(layer, network._F32) for layer in model.layers]
+    return network._eval_block(plan, x, network._F32)
 
 
 BOUND_STACKS = {
@@ -882,18 +913,19 @@ def test_a_layer_output_that_could_overflow_has_no_finite_bound():
 def certified_rungs(monkeypatch):
     """Count the rows each precision evaluates and the inputs that fall back whole."""
     seen = {"float32": 0, "float64": 0, "whole input": 0}
-    bounded, certified = network.Network._bounded_logits, network.Network._certified_argmax
+    eval_block, certified = network._eval_block, network.Network._certified_argmax
 
-    def spy_bounded(self, x, plan, p):
-        seen["float32" if p is network._F32 else "float64"] += len(x)
-        return bounded(self, x, plan, p)
+    def spy_eval_block(plan, x, p):
+        if p is not None:  # a bound-free float64 block is a plain eval, not an argmax rung
+            seen["float32" if p is network._F32 else "float64"] += len(x)
+        return eval_block(plan, x, p)
 
     def spy_certified(self, x):
         predicted = certified(self, x)
         seen["whole input"] += predicted is None
         return predicted
 
-    monkeypatch.setattr(network.Network, "_bounded_logits", spy_bounded)
+    monkeypatch.setattr(network, "_eval_block", spy_eval_block)
     monkeypatch.setattr(network.Network, "_certified_argmax", spy_certified)
     return seen
 
