@@ -179,52 +179,49 @@ def cross_normalize(x, gamma, beta, eps: float = 1e-5, normalizer: str = "b-1") 
     leave-one-out variance must be positive, so no column may hold b - 1
     equal values.
     """
+    _check_normalizer(normalizer)
     x = _finite("x", x)
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be non-negative and finite, got {eps}")
-    if eps == 0 and x.ndim == 2 and len(x) >= 3:
+    if x.ndim != 2 or x.shape[0] < 3:
+        raise ValueError("cross-normalization needs a batch of at least 3")
+    if eps == 0:
         s = np.sort(x, axis=0)
         if np.any((s[0] == s[-2]) | (s[1] == s[-1])):
             raise ValueError(
                 "eps = 0 needs a nonzero leave-one-out variance, but a column holds b - 1 equal values"
             )
-    return _cross_normalize_rows(x, gamma, beta, eps, normalizer, None)
-
-
-def _cross_normalize_rows(x, gamma, beta, eps: float, normalizer: str, rows: int | None) -> np.ndarray:
-    """The first ``rows`` rows (all with ``None``) of ``cross_normalize``.
-
-    The leave-one-out sums are products over the whole batch, since their
-    bits depend on the product's shape; only the arithmetic after them is
-    restricted to the rows kept.
-    """
-    if x.ndim != 2 or x.shape[0] < 3:
-        raise ValueError("cross-normalization needs a batch of at least 3")
     b = x.shape[0]
-    if normalizer == "b-1":
-        denom = b - 1.0
-    elif normalizer == "b":
-        denom = float(b)
-    else:
-        raise ValueError("normalizer must be 'b-1' or 'b'")
     # masked sums keep the leave-one-out statistics bit-exactly independent
     # of the held-out element (its contribution is an exact 0 term).  They
     # sum x - c, with c an element other than the held one (x[1] for row 0,
     # x[0] for the rest), so that a large common offset does not cancel in
     # the variance.
     hold = 1.0 - np.eye(b)
-    kept = b if rows is None else rows
     parts = []
-    for c, held in ((x[1], slice(0, 1)), (x[0], slice(1, kept))):
-        if held.start < held.stop:
-            d = x - c
-            loo_sum, loo_sq = (hold @ d)[held], (hold @ d**2)[held]
-            # the mean of the rest is c + t
-            t = (loo_sum + (b - 1 - denom) * c) / denom
-            # sum_{k != i} (x_k - c - t_i)^2 / denom, expanded through the two sums
-            var = loo_sq / denom - 2 * t * loo_sum / denom + t**2 * (b - 1) / denom
-            parts.append(gamma * (d[held] - t) / np.sqrt(var + eps) + beta)
+    for c, held in ((x[1], slice(0, 1)), (x[0], slice(1, b))):
+        d = x - c
+        # the mean of the rest is c + t
+        t = hold[held] @ d / (b - 1)
+        s2 = hold[held] @ d**2 / (b - 1) - t**2
+        parts.append(gamma * _cross_normalized(d[held], t, s2, c, b, normalizer, eps) + beta)
     return np.concatenate(parts)
+
+
+def _check_normalizer(normalizer: str) -> None:
+    if normalizer not in ("b-1", "b"):
+        raise ValueError(f"normalizer must be 'b-1' or 'b', got {normalizer!r}")
+
+
+def _cross_normalized(u, t, s2, c, b: int, normalizer: str, eps: float):
+    """Cross-normalized value of a held element c + u whose b - 1 companions
+    have mean c + t and 1/n variance s2.  Under "b" their sums are divided by
+    b, which puts their mean at c + (w t - c) / b, w = b - 1, and their
+    variance at w (s2 + ((c + t) / b)^2) / b."""
+    if normalizer == "b-1":
+        return (u - t) / np.sqrt(s2 + eps)
+    w = b - 1
+    return (u - (w * t - c) / b) / np.sqrt(w * (s2 + ((c + t) / b) ** 2) / b + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -457,27 +454,24 @@ def cross_normalization_curve(
     """Mean output of a cross-normalized element held at each grid value.
 
     For each grid value, ``n_mc`` gaussian batches have their first element
-    set to the value and pass through ``cross_normalize`` with unit gain and
-    no eps; only the held element's row is computed.  That row reads its
-    w = b - 1 companions only through their sum and sum of squared
-    deviations, so per chunk of up to ``_CN_CHUNK`` batches
-    ``_companion_moments`` draws their mean mu and 1/n variance s^2 (two
-    variates per batch), and the companions mu + sqrt(w s^2) e, with
-    e = (1, -1, 0, ..., 0) / sqrt(2), keep the output law of a full
-    gaussian batch.  The held element's statistics do not depend on it, so
-    the mean output is exactly affine in the grid value.  Grid points use
-    independent draws.  ``batch_size`` must be at least 3.
+    set to the value and are cross-normalized with unit gain and no eps.
+    The held output reads its w = b - 1 companions only through their mean
+    mu and 1/n variance s^2, so per chunk of up to ``_CN_CHUNK`` batches
+    ``_companion_moments`` draws those two variates per batch, and the
+    output is the held-value formula of ``cross_normalize`` at c = 0.  The
+    held element's statistics do not depend on it, so the mean output is
+    exactly affine in the grid value.  Grid points use independent draws.
 
     Under "b-1" the mean output is x sqrt(b - 1) Gamma((b - 3)/2) /
-    (sqrt(2) Gamma((b - 2)/2)).  The output has no finite mean at b = 3 and
-    no finite variance at b = 4, so the stderr means nothing there.
+    (sqrt(2) Gamma((b - 2)/2)).  Under either normalizer the output has no
+    finite mean at b = 3 and no finite variance at b = 4, where a stderr
+    would mean nothing, so ``batch_size`` must be at least 5.
     """
-    if batch_size < 3:
-        raise ValueError(f"cross-normalization needs a batch of at least 3, got batch_size {batch_size}")
+    _check_normalizer(normalizer)
+    if batch_size < 5:
+        raise ValueError(f"cross-normalization curve needs a batch of at least 5, got batch_size {batch_size}")
     _check_budget("n_mc", n_mc)
     grid = _check_grid(grid)
-    gamma = np.ones(1)
-    beta = np.zeros(1)
     means = np.empty_like(grid)
     stderr = np.empty_like(grid)
     for k, x1 in enumerate(grid):
@@ -485,9 +479,7 @@ def cross_normalization_curve(
         for done in range(0, n_mc, _CN_CHUNK):
             m = min(_CN_CHUNK, n_mc - done)
             mu, s2 = _companion_moments(m, batch_size, _gaussian, rng)
-            spread = np.sqrt(s2 * ((batch_size - 1) / 2.0))
-            batch = np.vstack([np.full(m, x1), mu + spread, mu - spread, *[mu] * (batch_size - 3)])
-            outs[done : done + m] = _cross_normalize_rows(batch, gamma, beta, 0.0, normalizer, 1)[0]
+            outs[done : done + m] = _cross_normalized(x1, mu, s2, 0.0, batch_size, normalizer, 0.0)
         means[k], stderr[k] = _estimate(outs)
     f_var = n_mc * stderr**2
     return NonlinearityCurve("gaussian", batch_size, grid, means, f_var, stderr)

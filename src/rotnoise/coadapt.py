@@ -19,7 +19,7 @@ from itertools import pairwise
 import numpy as np
 
 from .noise_ops import NoiseOpSpec, make_noise_op
-from .rotation import _check_budget, _estimate, _strength
+from .rotation import _check_budget, _estimate, _finite, _strength
 
 __all__ = [
     "CovStats",
@@ -107,7 +107,7 @@ def conditional_noise_covariance(x, method: str, keep_rate: float) -> np.ndarray
     rotation form additionally carries negative cross terms proportional
     to -x_i x_j.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite("x", x)
     return _noise_moment(np.outer(x, x), method, _strength(keep_rate))
 
 

@@ -564,7 +564,9 @@ def softmax_cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
 
     ``labels`` are integers of shape (n,) in 0..k-1 for (n, k) logits.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = _finite("logits", logits)
+    if logits.ndim != 2:
+        raise ValueError(f"logits must have shape (n, k), got {logits.shape}")
     labels = np.asarray(labels)
     if labels.shape != logits.shape[:1] or labels.dtype.kind not in "iu":
         raise ValueError(
@@ -597,6 +599,9 @@ def gaussian_mixture_data(
     ``label_noise`` flips that fraction of labels, making the sample
     memorizable but wrong, which is what lets a small benchmark overfit.
     """
+    _finite("separation", separation)
+    if not 0.0 <= label_noise <= 1.0:
+        raise ValueError(f"label_noise must lie in [0, 1], got {label_noise}")
     y = rng.integers(0, 2, n)
     mu = np.zeros(input_dim)
     mu[:2] = separation / 2.0

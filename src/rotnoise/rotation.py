@@ -262,7 +262,7 @@ def rotation_matrix(pairing: Pairing, theta: float) -> np.ndarray:
     coordinate of an odd-dimension pairing is passed through unscaled.
     Quadratic cost; prefer ``BatchRotation.apply`` everywhere else.
     """
-    t = np.tan(theta)
+    t = np.tan(_finite("theta", theta))
     mat = np.eye(pairing.dim)
     for i, j in pairing.pairs:
         mat[i, j] = t

@@ -605,11 +605,13 @@ def test_curves_reject_a_bad_grid_before_drawing(grid, message):
     assert rng.bit_generator.state == before
 
 
-@pytest.mark.parametrize("batch_size", [0, 1, 2])
+@pytest.mark.parametrize("batch_size", [0, 1, 2, 3, 4])
 def test_cross_normalization_curve_needs_three_before_drawing(batch_size):
+    # the held output has no finite mean at b = 3 and no finite variance at
+    # b = 4, so the curve refuses every batch under 5
     rng = np.random.default_rng(42)
     before = rng.bit_generator.state
-    with pytest.raises(ValueError, match=f"batch of at least 3, got batch_size {batch_size}"):
+    with pytest.raises(ValueError, match=f"batch of at least 5, got batch_size {batch_size}"):
         cross_normalization_curve(batch_size, rng, np.zeros(3), n_mc=100)
     assert rng.bit_generator.state == before
 
@@ -779,25 +781,12 @@ def test_cross_normalize_rejects_unknown_normalizer():
 
 
 @pytest.mark.parametrize("normalizer", ["b-1", "b"])
-def test_cross_normalize_rows_are_the_leading_rows_of_cross_normalize(normalizer):
-    rng = np.random.default_rng(40)
-    for b in (3, 8, 17):
-        x = rng.standard_normal((b, 1_001))
-        x[0] = 0.7
-        gamma, beta = rng.standard_normal(1_001), rng.standard_normal(1_001)
-        full = cross_normalize(x, gamma, beta, eps=1e-3, normalizer=normalizer)
-        for rows in (1, 2, b):
-            got = batchnorm._cross_normalize_rows(x, gamma, beta, 1e-3, normalizer, rows)
-            assert got.shape == (rows, 1_001)
-            assert got.tobytes() == full[:rows].tobytes()
-
-
-@pytest.mark.parametrize("normalizer", ["b-1", "b"])
 def test_cross_normalization_curve_matches_chunked_loop(normalizer):
-    # per (B, 5000) chunk: the companions' mean and 1/n variance, drawn as a
-    # normal and a chi-square variate per batch, spread over two companions
+    # per chunk of 5000 batches: the companions' mean and 1/n variance, drawn
+    # as a normal and a chi-square variate per batch, then the held value
     grid = np.linspace(-2.0, 2.0, 3)
     n, b = 12_345, 6
+    w = b - 1
     curve_rng = np.random.default_rng(33)
     curve = cross_normalization_curve(b, curve_rng, grid, n, normalizer)
     rng = np.random.default_rng(33)
@@ -805,16 +794,30 @@ def test_cross_normalization_curve_matches_chunked_loop(normalizer):
         outs = np.empty(n)
         for done in range(0, n, 5000):
             m = min(5000, n - done)
-            mu = rng.standard_normal(m) * np.sqrt(1.0 / (b - 1))
-            s2 = rng.chisquare(b - 2, m) / (b - 1)
-            spread = np.sqrt(s2 * ((b - 1) / 2.0))
+            mu = rng.standard_normal(m) * np.sqrt(1.0 / w)
+            s2 = rng.chisquare(b - 2, m) / w
+            if normalizer == "b-1":
+                out = (x1 - mu) / np.sqrt(s2)
+            else:
+                out = (x1 - w * mu / b) / np.sqrt(w * (s2 + (mu / b) ** 2) / b)
+            # the same held value from a whole batch whose w companions
+            # have the drawn mean and 1/n variance
+            spread = np.sqrt(s2 * (w / 2.0))
             batch = np.concatenate([np.full((1, m), x1), [mu + spread, mu - spread], np.tile(mu, (b - 3, 1))])
-            outs[done : done + m] = cross_normalize(
-                batch, np.ones(1), np.zeros(1), eps=0.0, normalizer=normalizer
-            )[0]
+            whole = cross_normalize(batch, np.ones(1), np.zeros(1), eps=0.0, normalizer=normalizer)[0]
+            np.testing.assert_allclose(out, whole, rtol=1e-9, atol=0)
+            outs[done : done + m] = out
         np.testing.assert_array_equal(curve.f_expect[k], outs.mean())
         np.testing.assert_array_equal(curve.stderr[k], outs.std(ddof=1) / np.sqrt(n))
     np.testing.assert_equal(curve_rng.bit_generator.state, rng.bit_generator.state)
+
+
+def test_cross_normalization_curve_refuses_a_bad_normalizer_before_drawing():
+    rng = np.random.default_rng(42)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"normalizer must be 'b-1' or 'b', got 'b\+1'"):
+        cross_normalization_curve(8, rng, np.zeros(3), n_mc=100, normalizer="b+1")
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("b", [5, 8, 16])

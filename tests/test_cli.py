@@ -261,7 +261,7 @@ def test_degenerate_monte_carlo_budget_exits_2(tmp_path, capsys, argv, csv_name)
         (["angle-demo", "--classes", "0"], "dropout_angle.csv", "'classes' must be at least 2"),
         (["angle-demo", "--margin-dim", "1"], "dropout_angle.csv", "'margin_dim' must be at least 2"),
         (["var-shift", "--rows", "0"], "variance_shift.csv", "n_rows must be at least 1, got 0"),
-        (["cn-check", "--batch", "2"], "cn_linearity.csv", "batch of at least 3, got batch_size 2"),
+        (["cn-check", "--batch", "2"], "cn_linearity.csv", "batch of at least 5, got batch_size 2"),
         (["cn-check", "--grid-max", "0"], "cn_linearity.csv", "'grid_max' must be positive"),
         (["train-demo", "--n-train", "0"], "train_demo.csv", "n_train must be at least 2, got 0"),
         (["train-demo", "--record-every", "-1"], "train_demo.csv", "record_every must be at least 0, got -1"),
@@ -272,7 +272,7 @@ def test_degenerate_monte_carlo_budget_exits_2(tmp_path, capsys, argv, csv_name)
         (["bn-curve", "--grid-max", "inf"], "bn_curve.csv", "'grid_max' must be positive and finite"),
         (["bn-curve", "--grid-step", "inf"], "bn_curve.csv", "'grid_step' must be positive and finite"),
         (["var-shift", "--rows", "-1"], "variance_shift.csv", "n_rows must be at least 1, got -1"),
-        (["cn-check", "--batch", "-1"], "cn_linearity.csv", "batch of at least 3, got batch_size -1"),
+        (["cn-check", "--batch", "-1"], "cn_linearity.csv", "batch of at least 5, got batch_size -1"),
         (["train-demo", "--n-train", "-1"], "train_demo.csv", "n_train must be at least 2, got -1"),
         (["linreg", "--lambda", "nan", "--trials", "2"], "conditioning.csv",
          "lam must be nonnegative and finite, got nan"),
@@ -293,7 +293,7 @@ def test_degenerate_setting_exits_2(tmp_path, capsys, argv, csv_name, message):
     [
         ("coadapt", "dim", 1, "needs dim of at least 2, got 1"),
         ("var-shift", "rows", 0, "n_rows must be at least 1, got 0"),
-        ("cn-check", "batch", 2, "batch of at least 3, got batch_size 2"),
+        ("cn-check", "batch", 2, "batch of at least 5, got batch_size 2"),
         ("train-demo", "n_train", 1, "n_train must be at least 2, got 1"),
         ("train-demo", "record_every", -1, "record_every must be at least 0, got -1"),
         ("train-demo", "gap_window", 0, "gap_window must be at least 1, got 0"),

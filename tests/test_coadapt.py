@@ -83,6 +83,12 @@ def test_conditional_traces_agree():
     assert td == pytest.approx((1 - p) / p * x @ x, rel=1e-12)
 
 
+@pytest.mark.parametrize("method", ["dropout", "rotation"])
+def test_conditional_covariance_names_a_non_finite_input(method):
+    with pytest.raises(ValueError, match="x must be finite"):
+        conditional_noise_covariance([1.0, np.nan, 2.0], method, 0.5)
+
+
 def test_conditional_rotation_needs_two_dims():
     with pytest.raises(ValueError, match="dimension 2"):
         conditional_noise_covariance(np.ones(1), "rotation", 0.5)

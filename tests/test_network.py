@@ -125,6 +125,40 @@ def test_softmax_cross_entropy_names_an_empty_batch():
         softmax_cross_entropy(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
 
 
+@pytest.mark.parametrize(
+    "logits, message",
+    [
+        ([[0.0, np.nan], [1.0, 2.0]], "logits must be finite"),
+        ([[0.0, 1.0], [-np.inf, 2.0]], "logits must be finite"),
+        (np.zeros(2), r"logits must have shape \(n, k\), got \(2,\)"),
+        (np.zeros((2, 2, 1)), r"logits must have shape \(n, k\), got \(2, 2, 1\)"),
+    ],
+    ids=["nan", "inf", "1-D", "3-D"],
+)
+def test_softmax_cross_entropy_names_bad_logits(logits, message):
+    with pytest.raises(ValueError, match=message):
+        softmax_cross_entropy(np.asarray(logits), np.zeros(2, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(separation=np.nan), "separation must be finite"),
+        (dict(separation=np.inf), "separation must be finite"),
+        (dict(label_noise=2.0), r"label_noise must lie in \[0, 1\], got 2\.0"),
+        (dict(label_noise=-0.1), r"label_noise must lie in \[0, 1\], got -0\.1"),
+        (dict(label_noise=np.nan), r"label_noise must lie in \[0, 1\], got nan"),
+    ],
+    ids=["nan-separation", "inf-separation", "noise-above-1", "negative-noise", "nan-noise"],
+)
+def test_gaussian_mixture_data_names_a_bad_parameter_before_drawing(kwargs, message):
+    rng = np.random.default_rng(23)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        gaussian_mixture_data(20, rng, **kwargs)
+    assert rng.bit_generator.state == before
+
+
 def test_train_and_report_needs_a_seed():
     with pytest.raises(ValueError, match="at least one seed"):
         train_and_report([("baseline", None)], TrainConfig(epochs=1), hidden_widths=(4,), seeds=())

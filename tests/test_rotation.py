@@ -26,6 +26,7 @@ from rotnoise import (
     gaussian_tangent,
     keep_rate_for,
     rotation_invariants,
+    rotation_matrix,
     sample_batch_rotation,
     sample_pairing,
     second_moment_of_tangent,
@@ -493,6 +494,13 @@ def test_featuremap_identity_at_zero_angle():
     x = rng.standard_normal((2, 4, 3, 3))
     out = apply_featuremap(x, fixed_angle(0.0), rng)
     np.testing.assert_allclose(out, x, atol=0)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_rotation_matrix_names_a_non_finite_angle(theta):
+    pairing = sample_pairing(4, np.random.default_rng(21))
+    with pytest.raises(ValueError, match="theta must be finite"):
+        rotation_matrix(pairing, theta)
 
 
 def test_featuremap_requires_two_channels():
