@@ -370,6 +370,7 @@ def train_statistic_samples(
     random stream of one ``(n, B - 1)`` draw, and what it returns is only
     read.
     """
+    _finite("x", x)
     _check_batch_size(batch_size)
     m, s2 = _companion_moments(n, batch_size, draw, rng)
     return _normalized_value(x, m, s2, batch_size, np.empty(n), np.empty(n))
@@ -495,10 +496,10 @@ class PolyFit:
 
 def evaluate_odd_poly(coeffs, x) -> np.ndarray:
     """a1 x + a3 x^3 + a5 x^5 + a7 x^7 for ``coeffs`` = (a1, a3, a5, a7)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
+    coeffs = _finite("coeffs", coeffs)
     if coeffs.shape != (4,):
         raise ValueError(f"odd-polynomial coefficients must have shape (4,), got {coeffs.shape}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite("x", x)
     return coeffs[0] * x + coeffs[1] * x**3 + coeffs[2] * x**5 + coeffs[3] * x**7
 
 

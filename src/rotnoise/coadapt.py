@@ -43,8 +43,8 @@ class CovStats:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.cov, dtype=np.float64)
+        mean = _finite("mean", self.mean)
+        cov = _finite("cov", self.cov)
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match the mean vector")
         if not np.allclose(cov, cov.T, atol=1e-10):
@@ -61,6 +61,11 @@ def _coadaptation_of(cov: np.ndarray) -> float:
         raise ValueError("degenerate covariance")
     off = np.abs(cov - np.diag(np.diag(cov))).sum()
     return float(off / trace)
+
+
+def _uncorrelated(cov: np.ndarray) -> bool:
+    """Whether co-adaptation is (numerically) zero, leaving a reduction factor 0/0."""
+    return _coadaptation_of(cov) < 1e-12
 
 
 def coadaptation(stats: CovStats) -> float:
@@ -146,8 +151,10 @@ def predicted_factor(stats: CovStats, method: str, keep_rate: float) -> float:
 
     Reduces to ``reduction_factor`` when the mean is zero; with a nonzero
     mean the factor is smaller still because the mean energy inflates the
-    noise floor.
+    noise floor.  An uncorrelated source has no factor: a ValueError.
     """
+    if _uncorrelated(stats.cov):
+        raise ValueError("the reduction factor is undefined: the input co-adaptation is below 1e-12")
     return _coadaptation_of(total_variance(stats, method, keep_rate)) / _coadaptation_of(stats.cov)
 
 
@@ -229,7 +236,7 @@ def verify_reduction(
 
     # 0/0 guard: with an exactly diagonal source covariance the factor is
     # undefined and must be flagged, not reported as a number
-    if _coadaptation_of(np.asarray(source.cov, dtype=np.float64)) < 1e-12:
+    if _uncorrelated(np.asarray(source.cov, dtype=np.float64)):
         return CoadaptReport(
             method, keep_rate, source.dim, int(n_samples), co_in, co_out,
             observed_factor=float("nan"), predicted_factor=float("nan"),

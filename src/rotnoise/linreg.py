@@ -155,7 +155,7 @@ def marginalized_gradient(
     _check_budget("n_trials", n_trials)
     X, y = problem.X, problem.y
     n, dim = X.shape
-    w = np.asarray(w, dtype=np.float64)
+    w = _finite("w", w)
     if w.shape != (dim,):
         raise ValueError(f"w of shape {w.shape} does not match the problem dimension {dim}")
     grads = np.empty((n_trials, dim))

@@ -42,10 +42,10 @@ same calls with ``out=``, so every result keeps its bits.
 ``train`` reads only each row's argmax from an eval, and
 ``forward(x, mode="eval", argmax=True)`` returns ``logits.argmax(axis=1)``
 of the float64 eval bit for bit, but takes it from a float32 pass where it
-can prove that the two agree.  The float32 pass runs the same row blocks
-with float32 copies of the parameters, and folds each eval batch norm into
-one scale and one shift (two passes over the block where the float64 eval
-makes four).
+can prove that the two agree.  Each row block goes through
+``_block_argmax``: the float32 pass runs the block with float32 copies of
+the parameters, and folds each eval batch norm into one scale and one
+shift (two passes over the block where the float64 eval makes four).
 
 Next to each row the pass carries a bound E on the 2-norm of its
 activation error, measured against exact arithmetic on the float64 input
@@ -77,13 +77,14 @@ too.  The factor of 2 also absorbs the float64 rounding of the bound
 itself.  A NaN or inf in a row's logits or bound leaves the row
 uncertified.
 
-Uncertified rows, a few per thousand in the benchmark's ``overfit``
-workload, are recomputed in float64 by the same executor, with the same
-bound at u = 2⁻⁵³.  These few rows run in
-smaller products than the full input, and those can round differently
-(see above).  So if a recomputed row is still within its own float64
-bound, the whole input goes through the float64 stack, and its argmax is
-returned.  Every training history therefore keeps its bits.
+A block's uncertified rows, a few per thousand in the benchmark's
+``overfit`` workload, are recomputed by the float64 eval's own steps with
+the same bounds at u = 2⁻⁵³.  These few rows run in smaller products than
+the block, and those can round differently (see above).  So if a
+recomputed row is still within its own float64 bound, that block goes
+through the float64 plan, as the float64 eval runs it, and its argmax is
+returned.  Every other block's rows are certified equal to the float64
+eval's, so every training history keeps its bits.
 
 The argmax is a keyword of ``forward`` rather than a method of its own,
 and the whole ladder runs inside that one call without calling ``forward``
@@ -169,6 +170,10 @@ class TrainConfig:
             raise ValueError(f"n_val must be at least 1, got {self.n_val}")
         if self.batch_size < 2:
             raise ValueError("batch size must be at least 2 for batch statistics")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
 
 
 # fewest rows in an eval block (module docstring)
@@ -218,12 +223,10 @@ class _Relu:
         return {}
 
     def forward(self, x, rng, replay):
-        # the kink margin lets gradient checks confirm no preactivation sits
-        # within a finite-difference step of the nondifferentiable point
-        return np.maximum(x, 0.0), {"mask": x > 0.0, "kink_margin": float(np.abs(x).min())}
+        return np.maximum(x, 0.0), {"x": x}
 
     def backward(self, g, cache):
-        return g * cache["mask"], {}
+        return g * (cache["x"] > 0.0), {}
 
 
 class _BatchNorm:
@@ -327,14 +330,14 @@ def _lower(layer, p: _Precision | None):
     in float32, its eval buffer; every other layer into h.  Batch norm folds
     into one scale and one shift in float32, and normalizes as
     ``bn_test_forward`` does in float64, so those logits keep their bits.
-    ``bound`` is how the layer moves E, or None (p None, ReLU and noise).
+    ``bound`` is how the layer moves E at any precision, or None (p None,
+    ReLU and noise).
     """
     if isinstance(layer, _Dense):
         w, b, out, bound = layer.w.T, layer.b, None, None
-        if p is not None:
+        if p is _F32:
             m, n = layer.w.shape
             bound = _Bound(np.linalg.norm(layer.w), np.linalg.norm(layer.b), n, n + 3, m)
-        if p is _F32:
             w, b, out = w.astype(np.float32), b.astype(np.float32), layer.eval_out
 
         def step(h):
@@ -344,13 +347,12 @@ def _lower(layer, p: _Precision | None):
 
         return step, bound
     if isinstance(layer, _BatchNorm):
-        state, bound = layer.state, None
-        if p is not None:
-            scale, shift = _eval_affine(state)
-            offset = np.linalg.norm(np.abs(state.beta) + np.abs(scale * state.running_mean))
-            bound = _Bound(np.abs(scale).max(), offset, 1, 7, scale.size)
-        if p is not _F32:
-            return (lambda h: _eval_normalize(h, state, out=h)), bound
+        state = layer.state
+        if p is None:
+            return (lambda h: _eval_normalize(h, state, out=h)), None
+        scale, shift = _eval_affine(state)
+        offset = np.linalg.norm(np.abs(state.beta) + np.abs(scale * state.running_mean))
+        bound = _Bound(np.abs(scale).max(), offset, 1, 7, scale.size)
         scale, shift = scale.astype(np.float32), shift.astype(np.float32)
         return (lambda h: np.add(np.multiply(h, scale, out=h), shift, out=h)), bound
     if isinstance(layer, _Relu):
@@ -407,6 +409,28 @@ def _eval_block(plan, x, p: _Precision | None):
     return h, E
 
 
+def _block_argmax(plan32, plan, x):
+    """Each row's argmax of the row block x's float64 logits through ``plan``.
+
+    The float32 pass through ``plan32`` decides the rows it certifies.  The
+    rest run through ``plan``'s steps with ``plan32``'s bounds; if one of
+    them is still uncertified, the block goes through ``plan`` whole, since
+    products of fewer rows can round differently (module docstring).
+    """
+    with np.errstate(all="ignore"):  # overflow and NaN only leave rows uncertified
+        z, E = _eval_block(plan32, x, _F32)
+        predicted = z.argmax(axis=1)
+        redo = np.flatnonzero(~_certified(z, E))
+        if redo.size:
+            rung = [(step, bound) for (step, _), (_, bound) in zip(plan, plan32, strict=True)]
+            z, E = _eval_block(rung, x[redo], _F64)
+            predicted[redo] = z.argmax(axis=1)
+            redo = redo[~_certified(z, E)]
+    if redo.size:
+        predicted = _eval_block(plan, x, None)[0].argmax(axis=1)
+    return predicted
+
+
 # ---------------------------------------------------------------------------
 # network
 
@@ -444,9 +468,10 @@ class Network:
         own entry: noise layers redraw nothing, so finite-difference probes
         see a fixed stochastic map, and batch norm keeps its running stats.
 
-        Eval mode runs ``_eval_block`` once per row block (``_eval_bounds``);
-        an input of one block returns the output layer's array itself.  The
-        eval cache holds no layer caches.
+        Eval mode lowers the stack once and runs one loop over the row blocks
+        (``_eval_bounds``): ``_eval_block`` for the logits, ``_block_argmax``
+        for the argmax.  An input of one block returns that block's array
+        itself.  The eval cache holds no layer caches.
         """
         x = _finite("x", x)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
@@ -468,44 +493,17 @@ class Network:
                 h, c = layer.forward(h, rng, replay)
                 cache.layer_caches.append(c)
             return h, cache
-        if argmax:
-            predicted = self._certified_argmax(x)
-            if predicted is not None:
-                return predicted, cache
-        n = x.shape[0]
         plan = [_lower(layer, None) for layer in self.layers]
-        logits = None
+        plan32 = [_lower(layer, _F32) for layer in self.layers] if argmax else None
+        n, out = x.shape[0], None
         for lo, hi in pairwise(_eval_bounds(n)):
-            h, _ = _eval_block(plan, x[lo:hi], None)
-            if hi - lo < n:
-                if logits is None:
-                    logits = np.empty((n, h.shape[1]))
-                logits[lo:hi] = h
-        logits = h if logits is None else logits
-        return (logits.argmax(axis=1) if argmax else logits), cache
-
-    def _certified_argmax(self, x):
-        """Each row's argmax from the float32 pass, or None where only the float64 stack can tell.
-
-        Rows the float32 pass cannot certify are recomputed in float64, with
-        the plan lowered for that block.  If one of those is still
-        uncertified, the full-input products, which can round its logits
-        differently, could pick another class, so the caller runs the whole
-        input through the float64 stack.
-        """
-        plan = [_lower(layer, _F32) for layer in self.layers]
-        predicted = np.empty(x.shape[0], dtype=np.intp)
-        with np.errstate(all="ignore"):  # overflow and NaN only leave rows uncertified
-            for lo, hi in pairwise(_eval_bounds(x.shape[0])):
-                z, E = _eval_block(plan, x[lo:hi], _F32)
-                predicted[lo:hi] = z.argmax(axis=1)
-                redo = lo + np.flatnonzero(~_certified(z, E))
-                if redo.size:
-                    z, E = _eval_block([_lower(layer, _F64) for layer in self.layers], x[redo], _F64)
-                    if not _certified(z, E).all():
-                        return None
-                    predicted[redo] = z.argmax(axis=1)
-        return predicted
+            h = _block_argmax(plan32, plan, x[lo:hi]) if argmax else _eval_block(plan, x[lo:hi], None)[0]
+            if hi - lo == n:
+                return h, cache
+            if out is None:
+                out = np.empty((n, *h.shape[1:]), dtype=h.dtype)
+            out[lo:hi] = h
+        return out, cache
 
     def backward(self, cache: _Cache, dlogits) -> dict[str, np.ndarray]:
         """Exact gradients of the realized loss for every parameter.

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from mc_utils import assert_within_stderr, conditional_cov_mc, first_element_variance
 from test_batchnorm import loo_statistic_direct, train_statistic
-from test_network import assert_grads_close, finite_difference_grads
+from test_network import assert_grads_close, finite_difference_grads, kink_margins
 from test_rotation import dense_oracle
 
 from rotnoise import (
@@ -221,7 +221,7 @@ def test_criterion_09_gradient_checks():
             y = rng.integers(0, 2, 6)
             logits, cache = model.forward(x, mode="train", rng=rng)
             # central differences are only trustworthy away from relu kinks
-            margins = [c["kink_margin"] for c in cache.layer_caches if "kink_margin" in c]
+            margins = kink_margins(model, cache)
             assert not margins or min(margins) > 1e-3
             _, dlogits = softmax_cross_entropy(logits, y)
             analytic = model.backward(cache, dlogits)

@@ -239,6 +239,18 @@ def test_odd_poly_needs_four_coefficients(coeffs):
         bn_test_forward(np.ones((2, 3)), state, correction=("poly", coeffs))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_odd_poly_names_a_non_finite_argument(bad):
+    with pytest.raises(ValueError, match="coeffs must be finite"):
+        evaluate_odd_poly([bad, 0.0, 0.0, 0.0], np.ones(3))
+    with pytest.raises(ValueError, match="x must be finite"):
+        evaluate_odd_poly([1.0, 0.0, 0.0, 0.0], [0.0, bad])
+    state = BatchNormState.initial(3)
+    bn_train_forward(np.eye(3), state)
+    with pytest.raises(ValueError, match="coeffs must be finite"):
+        bn_test_forward(np.ones((2, 3)), state, correction=("poly", [1.0, 0.0, bad, 0.0]))
+
+
 def test_unknown_correction_rejected():
     rng = np.random.default_rng(6)
     state = BatchNormState.initial(2)
@@ -257,6 +269,15 @@ def test_leave_one_out_identity_exact():
         for _ in range(200):
             batch = rng.standard_normal(b)
             assert abs(loo_statistic_direct(batch) - train_statistic(batch[0], batch[1:])) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_train_statistic_samples_names_a_non_finite_point_before_drawing(bad):
+    rng = np.random.default_rng(48)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="x must be finite"):
+        train_statistic_samples(bad, 8, 100, standardized_sampler("gaussian"), rng)
+    assert rng.bit_generator.state == before
 
 
 def test_train_statistic_samples_match_direct_simulation():

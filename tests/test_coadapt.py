@@ -51,6 +51,32 @@ def test_degenerate_covariance_rejected():
         coadaptation(stats)
 
 
+@pytest.mark.parametrize(
+    "field, mean, cov",
+    [
+        ("mean", [np.nan, 0.0], np.eye(2)),
+        ("cov", np.zeros(2), [[1.0, np.inf], [np.inf, 1.0]]),
+        ("cov", np.zeros(2), [[np.nan, 0.0], [0.0, 1.0]]),
+    ],
+    ids=["nan-mean", "inf-cov", "nan-cov"],
+)
+def test_covstats_names_a_non_finite_field(field, mean, cov):
+    # np.allclose treats inf as equal to inf, and a NaN read as "not symmetric"
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CovStats(mean=mean, cov=cov)
+
+
+@pytest.mark.parametrize("method", ["dropout", "rotation"])
+@pytest.mark.parametrize("off", [0.0, 1e-14], ids=["diagonal", "below-1e-12"])
+def test_predicted_factor_names_an_uncorrelated_source(method, off):
+    # co(input) = 0 makes the factor 0/0, which verify_reduction flags undefined
+    cov = np.eye(3) + off * (1.0 - np.eye(3))
+    with pytest.raises(ValueError, match="reduction factor is undefined"):
+        predicted_factor(CovStats(np.zeros(3), cov), method, 0.5)
+    report = verify_reduction(GaussianSource(cov), method, 0.5, 40, np.random.default_rng(11))
+    assert report.undefined
+
+
 def test_covstats_validation():
     with pytest.raises(ValueError, match="symmetric"):
         CovStats(mean=np.zeros(2), cov=np.array([[1.0, 0.4], [0.1, 1.0]]))

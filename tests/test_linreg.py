@@ -169,6 +169,16 @@ def test_marginalized_gradient_names_a_wrong_weight_shape(w):
         marginalized_gradient(prob, w, gaussian_tangent(0.5), 2, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_marginalized_gradient_names_a_non_finite_weight_before_drawing(bad):
+    prob = RegressionProblem(np.eye(6), np.ones(6), 0.5)
+    rng = np.random.default_rng(19)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="w must be finite"):
+        marginalized_gradient(prob, [bad, 0.0, 0.0, 0.0, 0.0, 0.0], gaussian_tangent(0.5), 2, rng)
+    assert rng.bit_generator.state == before
+
+
 @pytest.mark.parametrize("dim", [3, 5, 7])
 def test_rotation_solution_zeroes_marginalized_gradient_odd_dim(dim):
     # criterion 04 at odd D

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -53,6 +54,12 @@ def assert_grads_close(analytic, numeric, tol):
         assert worst < tol, f"{name}: relative gradient error {worst:.3e} exceeds {tol}"
 
 
+def kink_margins(model, cache):
+    """Each ReLU's smallest |preactivation| in a train cache: its distance to the kink."""
+    return [float(np.abs(c["x"]).min()) for layer, c in zip(model.layers, cache.layer_caches, strict=True)
+            if isinstance(layer, _Relu)]
+
+
 def small_model(noise=None, batchnorm=False, activation="relu", seed=0, placement="before-weight"):
     rng = np.random.default_rng(seed)
     hidden = [
@@ -82,6 +89,18 @@ def test_layer_spec_validation():
         LayerSpec(4, activation="tanh")
     with pytest.raises(ValueError, match="placement"):
         LayerSpec(4, noise_placement="inside")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("learning_rate", v) for v in (np.nan, np.inf, -0.05, 0.0)] + [("momentum", v) for v in (np.nan, 5.0, 1.0, -0.1)],
+)
+def test_train_config_names_a_bad_step(field, value):
+    # a NaN step used to surface only as non-finite logits, after train had drawn
+    rule = "must be positive and finite" if field == "learning_rate" else "must lie in [0, 1)"
+    with pytest.raises(ValueError, match=re.escape(f"{field} {rule}, got {value}")):
+        TrainConfig(**{field: value})
+    assert TrainConfig(momentum=0.0).momentum == 0.0  # plain SGD stays allowed
 
 
 def test_train_config_validation():
@@ -299,7 +318,7 @@ def test_train_cache_carries_kink_margins():
     model = small_model()
     x, _ = small_batch()
     _, cache = model.forward(x, mode="train", rng=np.random.default_rng(16))
-    margins = [c["kink_margin"] for c in cache.layer_caches if "kink_margin" in c]
+    margins = kink_margins(model, cache)
     assert len(margins) == 2  # one per relu layer
     assert all(isinstance(m, float) and m >= 0.0 for m in margins)
 
@@ -945,22 +964,27 @@ def test_a_layer_output_that_could_overflow_has_no_finite_bound():
 
 
 def certified_rungs(monkeypatch):
-    """Count the rows each precision evaluates and the inputs that fall back whole."""
-    seen = {"float32": 0, "float64": 0, "whole input": 0}
-    eval_block, certified = network._eval_block, network.Network._certified_argmax
+    """Count the rows each precision evaluates and the blocks that fall back whole."""
+    seen = {"float32": 0, "float64": 0, "whole block": 0}
+    eval_block, block_argmax = network._eval_block, network._block_argmax
+    in_ladder = []
 
     def spy_eval_block(plan, x, p):
-        if p is not None:  # a bound-free float64 block is a plain eval, not an argmax rung
+        if p is not None:
             seen["float32" if p is network._F32 else "float64"] += len(x)
+        elif in_ladder:  # a bound-free float64 block inside the ladder is its whole-block fallback
+            seen["whole block"] += 1
         return eval_block(plan, x, p)
 
-    def spy_certified(self, x):
-        predicted = certified(self, x)
-        seen["whole input"] += predicted is None
-        return predicted
+    def spy_block_argmax(*args):
+        in_ladder.append(True)
+        try:
+            return block_argmax(*args)
+        finally:
+            in_ladder.pop()
 
     monkeypatch.setattr(network, "_eval_block", spy_eval_block)
-    monkeypatch.setattr(network.Network, "_certified_argmax", spy_certified)
+    monkeypatch.setattr(network, "_block_argmax", spy_block_argmax)
     return seen
 
 
@@ -999,7 +1023,7 @@ def test_certified_argmax_certifies_rows_far_from_the_boundary(monkeypatch):
     x = x[np.abs(logits[:, 0] - logits[:, 1]) > 1e-3]
     seen = certified_rungs(monkeypatch)
     assert_argmax_exact(model, x)
-    assert seen == {"float32": len(x), "float64": 0, "whole input": 0}
+    assert seen == {"float32": len(x), "float64": 0, "whole block": 0}
 
 
 def test_certified_argmax_recomputes_rows_at_the_boundary_in_float64(monkeypatch):
@@ -1011,7 +1035,7 @@ def test_certified_argmax_recomputes_rows_at_the_boundary_in_float64(monkeypatch
     assert np.all((gaps > 1e-12) & (gaps < 1e-6))
     seen = certified_rungs(monkeypatch)
     assert_argmax_exact(model, np.concatenate([x, near]))
-    assert seen["float64"] >= len(near) and seen["whole input"] == 0
+    assert seen["float64"] >= len(near) and seen["whole block"] == 0
 
 
 def test_certified_argmax_falls_back_whole_on_exact_ties(monkeypatch):
@@ -1021,7 +1045,7 @@ def test_certified_argmax_falls_back_whole_on_exact_ties(monkeypatch):
     seen = certified_rungs(monkeypatch)
     predicted = assert_argmax_exact(model, np.random.default_rng(35).standard_normal((50, 10)))
     assert np.all(predicted == 0)
-    assert seen["whole input"] == 1
+    assert seen["whole block"] == 1
 
 
 @pytest.mark.parametrize("factor, layers", [(1e20, None), (1e-40, [0])], ids=["past-float32-max", "subnormal"])
@@ -1039,7 +1063,49 @@ def test_certified_argmax_is_exact_over_several_eval_blocks(monkeypatch):
     x = np.concatenate([x, near_boundary(model, x[:20])])
     seen = certified_rungs(monkeypatch)
     assert_argmax_exact(model, x)
-    assert seen["float32"] == len(x) and seen["float64"] > 0 and seen["whole input"] == 0
+    assert seen["float32"] == len(x) and seen["float64"] > 0 and seen["whole block"] == 0
+
+
+def tied_model(seed=42):
+    """Three classes on 10 inputs, classes 0 and 1 with one output row: every row they top is an exact tie."""
+    model = build_network(10, [LayerSpec(16), LayerSpec(16)], 3, np.random.default_rng(seed))
+    out = model.layers[-1]
+    out.w[1], out.b[1] = out.w[0], out.b[0]
+    return model
+
+
+def test_certified_argmax_falls_back_block_by_block(monkeypatch):
+    monkeypatch.setattr(network, "_EVAL_ROWS", 16)
+    model = tied_model()
+    x = np.random.default_rng(41).standard_normal((400, 10))
+    logits = model.forward(x, mode="eval")[0]
+    clear, tied = x[logits[:, 2] - logits[:, 0] > 1e-3], x[logits[:, 0] - logits[:, 2] > 1e-3]
+    # 64 rows run as 4 blocks of 16; the second and fourth hold only ties
+    x = np.concatenate([clear[:16], tied[:16], clear[16:32], tied[16:32]])
+    seen = certified_rungs(monkeypatch)
+    predicted = assert_argmax_exact(model, x)
+    np.testing.assert_array_equal(predicted, np.repeat([2, 0, 2, 0], 16))
+    assert seen == {"float32": 64, "float64": 32, "whole block": 2}
+
+
+def test_certified_argmax_lowers_each_layer_at_most_twice(monkeypatch):
+    monkeypatch.setattr(network, "_EVAL_ROWS", 16)
+    model = tied_model()
+    lowered = {}
+    lower = network._lower
+
+    def counting_lower(layer, p):
+        lowered[id(layer)] = lowered.get(id(layer), 0) + 1
+        return lower(layer, p)
+
+    monkeypatch.setattr(network, "_lower", counting_lower)
+    seen = certified_rungs(monkeypatch)
+    x = np.random.default_rng(42).standard_normal((80, 10))
+    predicted, _ = model.forward(x, mode="eval", argmax=True)
+    # each of the 5 blocks redid rows, and the forward lowered every layer once per precision
+    assert seen["float64"] > 0 and seen["whole block"] == 5
+    assert sorted(lowered) == sorted(map(id, model.layers)) and max(lowered.values()) <= 2
+    np.testing.assert_array_equal(predicted, model.forward(x, mode="eval")[0].argmax(axis=1))
 
 
 def test_argmax_needs_eval_mode():
